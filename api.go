@@ -145,7 +145,10 @@ func DipoleMoment(res *SCFResult) [3]float64 {
 // ---------------------------------------------------------------------------
 // Exchange layer (the paper's core contribution).
 
-// ExchangeOptions configures the task-parallel HFX builder.
+// ExchangeOptions configures the task-parallel HFX builder. Ranks > 1
+// runs the build on the in-process mprt runtime (Threads per rank, with
+// Threads×Units a power of two), bitwise identical to a single-rank
+// builder over the same slot count.
 type ExchangeOptions = hfx.Options
 
 // ExchangeReport describes one exchange build.
@@ -225,53 +228,6 @@ const (
 func CollectiveScheduleByName(name string) (CollectiveSchedule, bool) {
 	return mprt.ScheduleByName(name)
 }
-
-// DistExchangeOptions configures a rank-distributed Fock build.
-type DistExchangeOptions = hfx.DistOptions
-
-// DistExchangeReport describes one rank-distributed build: per-rank phase
-// walls, collective traffic, and the measured-vs-modeled schedule steps.
-type DistExchangeReport = hfx.DistReport
-
-// DistExchangeBuilder runs the Fock build across an in-process mprt
-// world: the screened task list is statically partitioned over
-// torus-mapped ranks and the partial J/K are combined with deterministic
-// collectives. Results are bitwise identical to an ExchangeBuilder with
-// Threads = Ranks×ThreadsPerRank.
-type DistExchangeBuilder struct {
-	d *hfx.DistBuilder
-}
-
-// NewDistExchangeBuilder prepares the screened decomposition, the mprt
-// world and the per-rank pools for a molecule and basis.
-func NewDistExchangeBuilder(mol *Molecule, basisName string, sopts ScreeningOptions, dopts DistExchangeOptions) (*DistExchangeBuilder, error) {
-	set, err := basis.Build(basisName, mol)
-	if err != nil {
-		return nil, err
-	}
-	eng := integrals.NewEngine(set)
-	scr := screen.BuildPairList(eng, sopts)
-	d, err := hfx.NewDistBuilder(eng, scr, dopts)
-	if err != nil {
-		return nil, err
-	}
-	return &DistExchangeBuilder{d: d}, nil
-}
-
-// BuildJK evaluates J and K across the ranks. Like
-// ExchangeBuilder.BuildJK, the returned matrices alias builder-owned
-// buffers and are valid only until the next BuildJK. The error reports a
-// rank failure the builder could not recover from (an injected rank
-// death is recovered internally and only shows up as rep.RankRestarts).
-func (e *DistExchangeBuilder) BuildJK(p *Matrix) (j, k *Matrix, rep DistExchangeReport, err error) {
-	return e.d.BuildJK(p)
-}
-
-// Close stops the rank pools and the mprt world.
-func (e *DistExchangeBuilder) Close() { e.d.Close() }
-
-// NBasis returns the basis dimension of the builder.
-func (e *DistExchangeBuilder) NBasis() int { return e.d.Eng.Basis.NBasis }
 
 // ---------------------------------------------------------------------------
 // Dynamics layer.

@@ -64,6 +64,7 @@ import (
 	"hfxmd/internal/mprt"
 	"hfxmd/internal/sched"
 	"hfxmd/internal/screen"
+	"hfxmd/internal/torus"
 )
 
 var defaultRacks = []int{1, 2, 4, 8, 16, 32, 48, 64, 96}
@@ -205,9 +206,13 @@ func expD1(_, _ *hfxmd.MachineWorkload) {
 		rankList = append(rankList, r)
 	}
 
+	if !powerOfTwo(d1Tpr) {
+		log.Fatalf("-d1-threads must be a power of two, got %d", d1Tpr)
+	}
 	type row struct {
 		ranks int
-		rep   hfx.DistReport
+		shape torus.Shape
+		rep   hfx.Report
 	}
 	sweep := func(mol func(ranks int) *chem.Molecule) []row {
 		rows := make([]row, 0, len(rankList))
@@ -218,16 +223,16 @@ func expD1(_, _ *hfxmd.MachineWorkload) {
 			for i := 0; i < eng.Basis.NBasis; i++ {
 				p.Set(i, i, 1)
 			}
-			_, _, rep, err := hfx.DistributedBuild(eng, scr, hfx.DistOptions{
-				Ranks:          r,
-				ThreadsPerRank: d1Tpr,
-				Schedule:       schedAlg,
-				Opts:           hfx.DefaultOptions(),
-			}, p)
+			shape, err := torus.ShapeForNodes(r)
 			if err != nil {
 				log.Fatal(err)
 			}
-			rows = append(rows, row{r, rep})
+			opts := hfx.DefaultOptions()
+			opts.Ranks, opts.Threads, opts.Schedule = r, d1Tpr, schedAlg
+			b := hfx.NewBuilder(eng, scr, opts)
+			_, _, rep := b.BuildJK(p)
+			b.Close()
+			rows = append(rows, row{r, shape, rep})
 		}
 		return rows
 	}
@@ -238,14 +243,15 @@ func expD1(_, _ *hfxmd.MachineWorkload) {
 		for _, r := range rows {
 			rate := float64(r.rep.QuartetsComputed) / r.rep.Wall.Seconds()
 			eff := rate / (float64(r.ranks) * base)
+			rr := r.rep.Ranks
 			fmt.Printf("%6d %12s %12v %10d %9.1f%% %12d %12d %5d/%-5d\n",
-				r.ranks, r.rep.Shape, r.rep.Wall.Round(time.Microsecond),
+				r.ranks, r.shape, r.rep.Wall.Round(time.Microsecond),
 				r.rep.QuartetsComputed, 100*eff,
-				r.rep.CommBytes, r.rep.CommBytes/int64(r.ranks),
-				r.rep.MeasuredSteps, r.rep.PredictedSteps)
-			if r.rep.MeasuredSteps != int64(r.rep.PredictedSteps) {
+				rr.CommBytes, rr.CommBytes/int64(r.ranks),
+				rr.MeasuredSteps, rr.PredictedSteps)
+			if rr.MeasuredSteps != int64(rr.PredictedSteps) {
 				log.Fatalf("ranks=%d: measured collective steps %d diverge from bgq model prediction %d",
-					r.ranks, r.rep.MeasuredSteps, r.rep.PredictedSteps)
+					r.ranks, rr.MeasuredSteps, rr.PredictedSteps)
 			}
 		}
 	}
@@ -256,6 +262,10 @@ func expD1(_, _ *hfxmd.MachineWorkload) {
 	fmt.Printf("\nweak scaling: (H2O)_{%d x ranks}\n", d1Waters)
 	print(sweep(func(r int) *chem.Molecule { return chem.WaterCluster(d1Waters*r, 6) }))
 }
+
+// powerOfTwo reports whether n is a positive power of two: the
+// Threads×Units constraint a multi-rank hfx.Builder enforces.
+func powerOfTwo(n int) bool { return n > 0 && n&(n-1) == 0 }
 
 // expP1 runs real repeated Fock builds on one persistent builder pool
 // and prints the per-phase accounting: the first build pays the scratch

@@ -105,6 +105,9 @@ func jkChecksum(j, k *linalg.Matrix) string {
 }
 
 func expW1(_, _ *hfxmd.MachineWorkload) {
+	if s := w1Tpr * w1Upt; w1Ranks > 1 && !powerOfTwo(s) {
+		log.Fatalf("-w1-threads × -w1-units must be a power of two, got %d × %d", w1Tpr, w1Upt)
+	}
 	eng := integrals.NewEngine(basis.MustBuild("STO-3G", chem.WaterCluster(w1Waters, 6)))
 	scr := screen.BuildPairList(eng, screen.DefaultOptions())
 	n := eng.Basis.NBasis
@@ -122,25 +125,16 @@ func expW1(_, _ *hfxmd.MachineWorkload) {
 		}
 	}
 
-	runArm := func(noise *steal.NoisePlan, stealOn bool) (hfx.StealReport, string) {
-		b, err := hfx.NewStealBuilder(eng, scr, hfx.StealOptions{
-			Ranks:          w1Ranks,
-			ThreadsPerRank: w1Tpr,
-			UnitsPerThread: w1Upt,
-			Schedule:       mprt.DimExchange,
-			Opts:           hfx.DefaultOptions(),
-			Steal:          stealOn,
-			Noise:          noise,
-			Seed:           w1Seed,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
+	opts := hfx.DefaultOptions()
+	opts.Ranks, opts.Threads, opts.Units = w1Ranks, w1Tpr, w1Upt
+	opts.Schedule = mprt.DimExchange
+	opts.Seed = w1Seed
+	runArm := func(noise *steal.NoisePlan, stealOn bool) (hfx.Report, string) {
+		o := opts
+		o.Steal, o.Noise = stealOn, noise
+		b := hfx.NewBuilder(eng, scr, o)
 		defer b.Close()
-		j, k, rep, err := b.BuildJK(p)
-		if err != nil {
-			log.Fatal(err)
-		}
+		j, k, rep := b.BuildJK(p)
 		return rep, jkChecksum(j, k)
 	}
 
@@ -169,8 +163,9 @@ func expW1(_, _ *hfxmd.MachineWorkload) {
 				noise.StragglerSlow = 4.0
 			}
 		}
-		statRep, statSum := runArm(noise, false)
-		stealRep, stealSum := runArm(noise, true)
+		stat, statSum := runArm(noise, false)
+		stole, stealSum := runArm(noise, true)
+		statRep, stealRep := stat.Ranks, stole.Ranks
 		if statSum != stealSum {
 			log.Fatalf("noise %.0f%%: static and stealing J/K diverged (%s vs %s) — the bitwise pin is broken",
 				100*lv.pct, statSum, stealSum)
@@ -181,34 +176,35 @@ func expW1(_, _ *hfxmd.MachineWorkload) {
 		}
 		fmt.Printf("%6.0f%% %10s | %9.3f %9.3f %7s %9s | %9.3f %9.3f %7d %9v\n",
 			100*lv.pct, strag,
-			statRep.BalanceRatioPredicted, statRep.BalanceRatioMeasured, "", "",
-			stealRep.BalanceRatioPredicted, stealRep.BalanceRatioMeasured,
+			statRep.BalancePredicted, statRep.BalanceMeasured, "", "",
+			stealRep.BalancePredicted, stealRep.BalanceMeasured,
 			stealRep.StealsSucceeded, stealRep.IdleReclaimed.Round(time.Microsecond))
 		for _, arm := range []struct {
-			rep hfx.StealReport
+			rep hfx.Report
 			on  bool
 			sum string
-		}{{statRep, false, statSum}, {stealRep, true, stealSum}} {
+		}{{stat, false, statSum}, {stole, true, stealSum}} {
+			rr := arm.rep.Ranks
 			out.Rows = append(out.Rows, w1Row{
 				NoisePct: lv.pct, Straggler: lv.straggler, Steal: arm.on,
-				BalPred: arm.rep.BalanceRatioPredicted, BalMeas: arm.rep.BalanceRatioMeasured,
-				Steals: arm.rep.StealsSucceeded, Migrated: arm.rep.BlocksMigrated,
-				ReclaimNS: arm.rep.IdleReclaimed.Nanoseconds(),
+				BalPred: rr.BalancePredicted, BalMeas: rr.BalanceMeasured,
+				Steals: rr.StealsSucceeded, Migrated: rr.Migrated,
+				ReclaimNS: rr.IdleReclaimed.Nanoseconds(),
 				WallNS:    arm.rep.Wall.Nanoseconds(), JKChecksum: arm.sum,
 			})
 		}
 		if lv.straggler {
-			out.StaticStragglerBalance = statRep.BalanceRatioMeasured
-			out.StealStragglerBalance = stealRep.BalanceRatioMeasured
+			out.StaticStragglerBalance = statRep.BalanceMeasured
+			out.StealStragglerBalance = stealRep.BalanceMeasured
 			// The balance gate: >=20% mispredicts plus a straggler the
 			// placement model cannot see. Static has no recourse; stealing
 			// must measurably recover.
 			if stealRep.StealsSucceeded == 0 {
 				log.Fatal("straggler row: stealing arm migrated nothing")
 			}
-			if stealRep.BalanceRatioMeasured >= statRep.BalanceRatioMeasured {
+			if stealRep.BalanceMeasured >= statRep.BalanceMeasured {
 				log.Fatalf("straggler row: stealing measured balance %.3f did not beat static %.3f",
-					stealRep.BalanceRatioMeasured, statRep.BalanceRatioMeasured)
+					stealRep.BalanceMeasured, statRep.BalanceMeasured)
 			}
 		}
 	}
@@ -216,31 +212,18 @@ func expW1(_, _ *hfxmd.MachineWorkload) {
 	// Calibration loop: one stealing builder, a fresh calibrator, and
 	// w1Builds successive builds re-balanced as the factors converge.
 	cal := steal.NewCalibrator(0.5)
-	cb, err := hfx.NewStealBuilder(eng, scr, hfx.StealOptions{
-		Ranks:          w1Ranks,
-		ThreadsPerRank: w1Tpr,
-		UnitsPerThread: w1Upt,
-		Schedule:       mprt.DimExchange,
-		Opts:           hfx.DefaultOptions(),
-		Steal:          true,
-		Calibrator:     cal,
-		Seed:           w1Seed,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
+	copts := opts
+	copts.Steal, copts.Calibrator = true, cal
+	cb := hfx.NewBuilder(eng, scr, copts)
 	defer cb.Close()
 	fmt.Printf("\ncalibration (%d builds, alpha 0.5):\n%6s %14s %14s %8s %11s\n",
 		w1Builds, "build", "calibrated err", "raw err", "obs", "rebalanced")
 	var last w1CalibRow
 	for i := 0; i < w1Builds; i++ {
-		_, _, rep, err := cb.BuildJK(p)
-		if err != nil {
-			log.Fatal(err)
-		}
+		_, _, rep := cb.BuildJK(p)
 		last = w1CalibRow{
-			Build: i + 1, CalErr: rep.CalibMeanAbsErr, RawErr: rep.CalibRawAbsErr,
-			Observations: rep.CalibObservations, Rebalanced: rep.Rebalanced,
+			Build: i + 1, CalErr: rep.Ranks.CalibErr, RawErr: rep.Ranks.CalibRawErr,
+			Observations: rep.Ranks.CalibObservations, Rebalanced: rep.Ranks.Rebalanced,
 		}
 		out.Calibration = append(out.Calibration, last)
 		fmt.Printf("%6d %14.4f %14.4f %8d %11v\n",

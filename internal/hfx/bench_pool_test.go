@@ -26,23 +26,6 @@ func BenchmarkBuildJKPooled(b *testing.B) {
 	}
 }
 
-// BenchmarkBuildJKPooledDynamic is the same guard for the dynamic-queue
-// dispatch path.
-func BenchmarkBuildJKPooledDynamic(b *testing.B) {
-	eng, scr := setup(b, chem.WaterCluster(4, 1), 1e-8)
-	p := testDensity(eng.Basis.NBasis, 1)
-	opts := DefaultOptions()
-	opts.Dynamic = true
-	builder := NewBuilder(eng, scr, opts)
-	defer builder.Close()
-	builder.BuildJK(p)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		builder.BuildJK(p)
-	}
-}
-
 // BenchmarkBuildJKSemiDirect measures the warm-cache semi-direct build on
 // the same system as BenchmarkBuildJKPooled: every surviving quartet is
 // resident after the warm-up, so the timed builds replay cached ERI blocks
@@ -122,21 +105,27 @@ func TestSemiDirectReplayAllocs(t *testing.T) {
 }
 
 // TestSteadyStateBuildAllocs is the in-suite form of the benchmark
-// guard: after one warm-up, repeated BuildJK calls must not allocate.
+// guard: after one warm-up, repeated BuildJK calls must not allocate —
+// on the static plan and with dynamic dispatch over four units.
 func TestSteadyStateBuildAllocs(t *testing.T) {
 	eng, scr := setup(t, chem.WaterCluster(2, 1), 1e-8)
 	p := testDensity(eng.Basis.NBasis, 1)
-	builder := NewBuilder(eng, scr, DefaultOptions())
-	defer builder.Close()
-	builder.BuildJK(p)
-	var j, k *linalg.Matrix
-	allocs := testing.AllocsPerRun(10, func() {
-		j, k, _ = builder.BuildJK(p)
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state BuildJK allocates %.1f objects per call, want 0", allocs)
-	}
-	if j == nil || k == nil {
-		t.Fatal("no result")
+	dynamic := DefaultOptions()
+	dynamic.Units, dynamic.Steal = 4, true
+	for _, opts := range []Options{DefaultOptions(), dynamic} {
+		builder := NewBuilder(eng, scr, opts)
+		builder.BuildJK(p)
+		var j, k *linalg.Matrix
+		allocs := testing.AllocsPerRun(10, func() {
+			j, k, _ = builder.BuildJK(p)
+		})
+		builder.Close()
+		if allocs != 0 {
+			t.Fatalf("units=%d steal=%v: steady-state BuildJK allocates %.1f objects per call, want 0",
+				opts.Units, opts.Steal, allocs)
+		}
+		if j == nil || k == nil {
+			t.Fatal("no result")
+		}
 	}
 }

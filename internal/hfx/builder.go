@@ -2,8 +2,9 @@ package hfx
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -12,6 +13,7 @@ import (
 	"hfxmd/internal/basis"
 	"hfxmd/internal/integrals"
 	"hfxmd/internal/linalg"
+	"hfxmd/internal/mprt"
 	"hfxmd/internal/qpx"
 	"hfxmd/internal/sched"
 	"hfxmd/internal/screen"
@@ -19,11 +21,28 @@ import (
 	"hfxmd/internal/trace"
 )
 
-// Options configures a Builder.
+// Options configures a Builder. The zero value (after DefaultOptions'
+// algorithm choices) is a single-rank build on GOMAXPROCS threads.
 type Options struct {
-	// Threads is the number of worker goroutines ("hardware threads" in
-	// the paper's terms). Zero means GOMAXPROCS.
+	// Ranks is the number of mprt ranks; 0 and 1 both mean one rank and
+	// no mprt world. Ranks > 1 requires Threads×Units to be a power of
+	// two and disables the semi-direct ERI cache.
+	Ranks int
+	// Threads is the number of worker goroutines per rank ("hardware
+	// threads" in the paper's terms). Zero means GOMAXPROCS on one rank
+	// and 1 per rank otherwise.
 	Threads int
+	// Units over-decomposes each thread into steal units: placement
+	// balances the tasks over Ranks×Threads×Units slots (0 means 1).
+	Units int
+	// Schedule selects the mprt collective schedule when Ranks > 1.
+	Schedule mprt.Schedule
+	// Steal lets a worker whose rank's deque ran dry take the cheapest
+	// outstanding unit of another rank, and lets a moved Calibrator epoch
+	// re-place the slots before the next build. Off, placement is fixed.
+	Steal bool
+	// Seed drives the rank-count-independent victim probe order.
+	Seed uint64
 	// Balancer selects the static load-balancing algorithm. The paper's
 	// scheme is sched.LPT; sched.Block reproduces the naive layout.
 	Balancer sched.Algorithm
@@ -36,12 +55,6 @@ type Options struct {
 	// scoped to this builder: two builders sharing one integrals.Engine
 	// may disagree on it without affecting each other.
 	Vector bool
-	// Dynamic replaces the static assignment with a shared work queue
-	// drained by the workers — the paper's work-stealing fallback for
-	// when cost predictions are off. Tasks are dispatched in the static
-	// balancer's cost order, so the static schedule remains the
-	// performance model of record.
-	Dynamic bool
 	// Cost overrides the cost model (zero value = DefaultCostModel).
 	Cost CostModel
 	// CacheBudgetBytes enables semi-direct builds: up to this many bytes
@@ -58,9 +71,28 @@ type Options struct {
 	NoEarlyExit bool
 	// Calibrator, when non-nil, makes the pool time every task it executes
 	// and fold (work class, raw predicted cost, measured wall) samples into
-	// the calibrator's per-class correction factors. The hot path stays
-	// untimed when nil.
+	// the calibrator's per-class correction factors. With Steal on, the
+	// placement uses the calibrated costs. The hot path stays untimed when
+	// nil.
 	Calibrator *steal.Calibrator
+	// Noise optionally distorts the placement model and slows a straggler
+	// rank (see steal.NoisePlan). It never touches the arithmetic, but a
+	// noisy placement groups tasks differently, so bits match a noise-free
+	// build only at zero noise.
+	Noise *steal.NoisePlan
+	// FaultPlan optionally kills one rank during one build's compute
+	// phase, exercising the restart path (nil injects nothing).
+	FaultPlan *RankFaultPlan
+}
+
+// RankFaultPlan kills rank Rank at the start of the Build-th BuildJK
+// (1-based; 0 disables): its workers return without touching a unit. The
+// builder then re-executes the dead rank's units and runs the reduction
+// with every rank alive, so the recovered build equals a fault-free one
+// bit for bit.
+type RankFaultPlan struct {
+	Rank  int
+	Build int
 }
 
 // DefaultOptions returns the paper's production configuration.
@@ -89,13 +121,15 @@ type Report struct {
 	NTasks           int
 	QuartetsComputed int64
 	QuartetsScreened int64
-	BalanceRatio     float64
-	TheoreticalEff   float64
-	Wall             time.Duration
-	ReduceDepth      int
-	LaneUtilization  float64 // 0 when Vector is off
-	ScreeningStats   screen.Stats
-	TaskCostStats    sched.CostStats
+	// BalanceRatio and TheoreticalEff describe the slot placement under
+	// the placement model (max/mean and mean/max slot load).
+	BalanceRatio    float64
+	TheoreticalEff  float64
+	Wall            time.Duration
+	ReduceDepth     int
+	LaneUtilization float64 // 0 when Vector is off
+	ScreeningStats  screen.Stats
+	TaskCostStats   sched.CostStats
 	// Timings charges wall-clock to the per-build phases ("zero",
 	// "compute", "reduce"). The timer is owned by the builder's pool and
 	// is reset at the start of every BuildJK, so the snapshot is valid
@@ -103,14 +137,69 @@ type Report struct {
 	Timings *trace.Timer
 	// Metrics is the builder's lifetime metrics registry: buffer
 	// allocation counts and bytes, build and reuse counts, cumulative
-	// zeroing time, and the screening wall time. Counters persist across
-	// builds (only the Timer inside is per-build).
+	// zeroing time, the screening wall time, and the steal.* and mprt.*
+	// traffic counters. Counters persist across builds (only the Timer
+	// inside is per-build).
 	Metrics *trace.Registry
 	// Pool summarises the persistent worker pool's state.
 	Pool PoolStats
 	// Cache summarises the semi-direct ERI block cache for this build.
 	// Cache.Enabled is false for fully direct builders.
 	Cache CacheStats
+	// Ranks is the per-rank view of the build. It is owned by the builder
+	// and, like Timings, valid until the next build.
+	Ranks *RankReport
+}
+
+// RankReport is the per-rank section of a Report: where the compute and
+// communication walls went, what the collectives moved, and what the
+// stealing and calibration did during the build.
+type RankReport struct {
+	// Compute is the wall of the units each rank executed, straggler
+	// delay included, charged to the rank that ran them. Comm is each
+	// rank's wall in the ReduceScatter+Allgatherv (zero on one rank).
+	Compute []time.Duration
+	Comm    []time.Duration
+
+	// Collective traffic summed over ranks, including the return of
+	// migrated unit partials to their home rank.
+	CommBytes int64
+	Sends     int64
+	Hops      int64
+
+	// MeasuredSteps counts the collective schedule steps the build
+	// executed; PredictedSteps is the analytic count for the same shape
+	// and schedule (3·L+1 for L tree levels, 0 on one rank), the quantity
+	// the bgq machine model prices.
+	MeasuredSteps  int64
+	PredictedSteps int
+
+	// Loads is the per-rank cost under the placement model.
+	// BalancePredicted is max/mean of Loads, BalanceMeasured max/mean of
+	// Compute, so mispredict damage shows as the two diverging.
+	Loads            []float64
+	BalancePredicted float64
+	BalanceMeasured  float64
+
+	// Restarts counts ranks killed by the FaultPlan whose units were
+	// re-executed during this build.
+	Restarts int
+	// Rebalanced reports whether this build re-placed the slots from a
+	// moved calibrator epoch.
+	Rebalanced bool
+
+	// Steal traffic of this build (deltas of the lifetime steal.*
+	// counters).
+	StealsSucceeded int64
+	Migrated        int64
+	IdleReclaimed   time.Duration
+
+	// Calibration over this build's task observations (zero without a
+	// calibrator): the mean |measured − prediction| / prediction of the
+	// calibrated and of the raw model, and the lifetime sample count.
+	CalibErr          float64
+	CalibRawErr       float64
+	CalibObservations int64
 }
 
 // PoolStats describes the persistent worker pool behind a Builder.
@@ -118,8 +207,8 @@ type PoolStats struct {
 	// Workers is the number of persistent worker goroutines.
 	Workers int
 	// BuffersAllocated counts the long-lived buffers the pool owns
-	// (per-worker J/K accumulators and ERI blocks), all allocated once
-	// in NewBuilder.
+	// (per-slot J/K accumulators, per-worker ERI blocks, and the rank
+	// staging buffers), all allocated once in NewBuilder.
 	BuffersAllocated int64
 	// BufferBytes is the total size of those buffers.
 	BufferBytes int64
@@ -166,12 +255,31 @@ func (r Report) PhaseTable() string {
 // reused across SCF/MD iterations; BuildJK is safe to call repeatedly
 // but not concurrently with itself.
 //
+// A build runs three stages:
+//
+//  1. Placement: the screened tasks are balanced (Options.Balancer) over
+//     Ranks×Threads×Units slots; slot s is homed on rank s/(Threads×Units).
+//  2. Execution: each persistent worker drains its rank's deque of slots
+//     (most expensive first) and, with Steal on, steals the cheapest slot
+//     of another rank once its own deque is empty. Every slot runs
+//     sequentially into its own J/K accumulators wherever it executes.
+//  3. Reduction: the slot partials are summed along the canonical binary
+//     tree over slot indices. Strides inside a rank merge in the pool;
+//     with Ranks > 1 the strides above go through mprt ReduceScatter +
+//     Allgatherv, whose canonical rank tree continues the same tree.
+//
+// Bitwise contract: J and K depend only on the placement, never on which
+// worker or rank ran a slot, so every build with the same slot count and
+// placement model — any Ranks/Threads/Units split, either Schedule,
+// stealing on or off, with or without a recovered rank fault — is
+// identical bit for bit to a single-rank build with Threads = slots.
+//
 // The builder owns a persistent worker pool: worker goroutines, their
-// J/K accumulation matrices, ERI scratch and dispatch order are all
-// allocated once in NewBuilder and reused (zeroed, not reallocated) by
-// every BuildJK, so the steady-state build performs no heap allocation.
-// Call Close when done to stop the workers; a finalizer stops them if
-// the builder is garbage-collected without Close.
+// J/K accumulation matrices, ERI scratch and deques are all allocated
+// once in NewBuilder and reused (zeroed, not reallocated) by every
+// single-rank BuildJK, so the steady-state build performs no heap
+// allocation. Call Close when done to stop the workers; a finalizer stops
+// them if the builder is garbage-collected without Close.
 type Builder struct {
 	Eng  *integrals.Engine
 	Scr  *screen.Result
@@ -190,23 +298,35 @@ type pool struct {
 	opts      Options
 	tasks     []Task
 	costs     []float64
-	asn       *sched.Assignment
+	classes   []int // work class per task; nil without Calibrator and Noise
 	costStats sched.CostStats
-	// order is the dynamic-dispatch order (descending cost), computed
-	// once; nil when Dynamic is off.
-	order []int
-	// classes and calib are set when Options.Calibrator is non-nil: tasks
-	// are timed and observed into the calibrator per work class.
-	classes []int
-	calib   *steal.Calibrator
 
-	nw      int
+	// Placement: the slot assignment, its steal plan and deques, and the
+	// calibrator epoch it was computed under.
+	asn         *sched.Assignment
+	plan        *steal.Plan
+	deques      *steal.Deques
+	placedEpoch uint64
+
+	threads int // workers per rank
+	spr     int // slots per rank
+	nw      int // workers: Ranks×Threads
 	jBufs   []*linalg.Matrix
 	kBufs   []*linalg.Matrix
 	eriBufs [][]float64
 	scratch []*integrals.Scratch
 	reg     *trace.Registry
 	cache   *eriCache // nil when Options.CacheBudgetBytes admitted nothing
+
+	// Ranks > 1 only: the mprt world, the fused [J‖K] staging buffer per
+	// rank with its reduce-scatter segment counts, and the output matrices.
+	world      *mprt.World
+	counts     []int
+	fused      [][]float64
+	jOut, kOut *linalg.Matrix
+
+	rep    RankReport
+	execNS []atomic.Int64 // per-rank executed unit wall of this build
 
 	// Per-build state, written by the coordinator before workers are
 	// woken (the wake-channel send establishes the happens-before edge).
@@ -216,15 +336,20 @@ type pool struct {
 	qstats   qpx.Stats
 	computed atomic.Int64
 	screened atomic.Int64
-	next     atomic.Int64
 	phase    int
 	stride   int
+	dead     int // rank killed by the FaultPlan this build, or -1
 
 	// Per-build cache traffic, folded into the ericache.* counters and
 	// Report.Cache at the end of BuildJK.
 	cacheHits      atomic.Int64
 	cacheMisses    atomic.Int64
 	cacheFillBytes atomic.Int64
+
+	// Lifetime counter values at the start of the build, for deltas.
+	steal0   [3]int64
+	traffic0 [3]int64 // bytes, sends, hops over all ranks
+	steps0   int64
 
 	wake []chan struct{}
 	done sync.WaitGroup
@@ -236,75 +361,86 @@ const (
 	phaseReduce
 )
 
-// NewBuilder prepares the task decomposition, allocates the per-worker
-// buffers and starts the persistent worker pool.
+// stealCounters are the steal.* counters whose per-build deltas land in
+// RankReport, in steal0 order.
+var stealCounters = [3]string{steal.CounterSucceeded, steal.CounterMigrated,
+	steal.CounterReclaimedNS}
+
+// NewBuilder prepares the task decomposition and placement, allocates
+// the per-slot and per-worker buffers, creates the mprt world when
+// Ranks > 1, and starts the persistent worker pool. It panics when
+// Ranks > 1 and Threads×Units is not a power of two: the in-rank
+// reduction trees then would not line up with the cross-rank tree.
 func NewBuilder(eng *integrals.Engine, scr *screen.Result, opts Options) *Builder {
+	opts.Ranks = max(opts.Ranks, 1)
+	opts.Units = max(opts.Units, 1)
 	if opts.Threads <= 0 {
-		opts.Threads = runtime.GOMAXPROCS(0)
+		opts.Threads = 1
+		if opts.Ranks == 1 {
+			opts.Threads = runtime.GOMAXPROCS(0)
+		}
+	}
+	spr := opts.Threads * opts.Units
+	if opts.Ranks > 1 {
+		if spr&(spr-1) != 0 {
+			panic(fmt.Sprintf("hfx: Ranks=%d needs Threads×Units a power of two, got Threads=%d Units=%d",
+				opts.Ranks, opts.Threads, opts.Units))
+		}
+		opts.CacheBudgetBytes = 0 // the semi-direct cache stays single-rank
 	}
 	if opts.Cost == (CostModel{}) {
 		opts.Cost = DefaultCostModel()
 	}
-	tasks := GenerateTasks(eng.Basis, scr.Pairs, opts.Cost, opts.Granule)
-	costs := TaskCosts(tasks)
-	asn := sched.Balance(opts.Balancer, costs, opts.Threads)
 	b := &Builder{Eng: eng, Scr: scr, Opts: opts}
-	b.pl = newPool(eng, scr, opts, tasks, costs, asn)
+	b.pl = newPool(eng, scr, opts, spr)
 	runtime.SetFinalizer(b, (*Builder).Close)
 	return b
 }
 
-// newPool allocates the per-worker buffers and starts the persistent
-// workers for an already-prepared task decomposition. The assignment may
-// be a rank-local slice of a larger global schedule (see DistBuilder), so
-// the pool takes the decomposition as inputs instead of computing it.
-func newPool(eng *integrals.Engine, scr *screen.Result, opts Options,
-	tasks []Task, costs []float64, asn *sched.Assignment) *pool {
-	pl := &pool{eng: eng, scr: scr, opts: opts, reg: trace.NewRegistry()}
-	pl.tasks = tasks
-	pl.costs = costs
-	pl.asn = asn
+// newPool places the tasks, allocates the buffers and starts the workers.
+func newPool(eng *integrals.Engine, scr *screen.Result, opts Options, spr int) *pool {
+	R := opts.Ranks
+	pl := &pool{eng: eng, scr: scr, opts: opts, reg: trace.NewRegistry(),
+		threads: opts.Threads, spr: spr, nw: R * opts.Threads, dead: -1}
+	pl.tasks = GenerateTasks(eng.Basis, scr.Pairs, opts.Cost, opts.Granule)
+	pl.costs = TaskCosts(pl.tasks)
 	pl.costStats = sched.Summarize(pl.costs)
-	if opts.Dynamic {
-		pl.order = make([]int, len(pl.tasks))
-		for i := range pl.order {
-			pl.order[i] = i
-		}
-		sort.Slice(pl.order, func(x, y int) bool {
-			return pl.tasks[pl.order[x]].Cost > pl.tasks[pl.order[y]].Cost
-		})
+	if opts.Calibrator != nil || opts.Noise != nil {
+		pl.classes = TaskClasses(eng.Basis, scr.Pairs, pl.tasks)
 	}
+	pl.place()
 
-	nw := pl.asn.NWorkers()
-	pl.nw = nw
+	nw, ns := pl.nw, R*spr
 	n := eng.Basis.NBasis
-	pl.jBufs = make([]*linalg.Matrix, nw)
-	pl.kBufs = make([]*linalg.Matrix, nw)
+	pl.jBufs = make([]*linalg.Matrix, ns)
+	pl.kBufs = make([]*linalg.Matrix, ns)
+	for s := 0; s < ns; s++ {
+		pl.jBufs[s] = linalg.NewSquare(n)
+		pl.kBufs[s] = linalg.NewSquare(n)
+	}
 	pl.eriBufs = make([][]float64, nw)
 	pl.scratch = make([]*integrals.Scratch, nw)
 	buflen := eng.MaxERIBufLen()
 	for w := 0; w < nw; w++ {
-		pl.jBufs[w] = linalg.NewSquare(n)
-		pl.kBufs[w] = linalg.NewSquare(n)
 		pl.eriBufs[w] = make([]float64, buflen)
 		pl.scratch[w] = integrals.NewScratch()
 	}
+	pl.jOut, pl.kOut = pl.jBufs[0], pl.kBufs[0]
 	if opts.Vector {
 		pl.stats = &pl.qstats
-	}
-	if opts.Calibrator != nil {
-		pl.classes = TaskClasses(eng.Basis, scr.Pairs, tasks)
-		pl.calib = opts.Calibrator
 	}
 	if opts.CacheBudgetBytes > 0 {
 		pl.cache = newERICache(eng.Basis, scr.Pairs, pl.tasks, pl.asn,
 			opts.Cost, opts.CacheBudgetBytes)
 	}
+	pl.rep.Compute = make([]time.Duration, R)
+	pl.rep.Comm = make([]time.Duration, R)
+	pl.execNS = make([]atomic.Int64, R)
 
 	// Pre-create every counter the hot path touches so steady-state
 	// lookups never insert into the registry map.
-	pl.reg.Counter("pool.buffers_alloc").Add(int64(3 * nw))
-	pl.reg.Counter("pool.buffer_bytes").Add(int64(nw * (2*n*n + buflen) * 8))
+	pl.reg.Counter("pool.buffers_alloc").Add(int64(2*ns + nw))
+	pl.reg.Counter("pool.buffer_bytes").Add(int64((2*ns*n*n + nw*buflen) * 8))
 	pl.reg.Counter("pool.builds")
 	pl.reg.Counter("pool.reuse_hits")
 	pl.reg.Counter("pool.zero_ns")
@@ -318,6 +454,29 @@ func newPool(eng *integrals.Engine, scr *screen.Result, opts Options,
 		pl.reg.Counter("ericache.evictions")
 		pl.reg.Counter("ericache.admitted").Add(pl.cache.admitted)
 	}
+	if R > 1 {
+		world, err := mprt.NewWorld(mprt.Options{Ranks: R, Schedule: opts.Schedule, Registry: pl.reg})
+		if err != nil {
+			panic(fmt.Sprintf("hfx: %v", err))
+		}
+		pl.world = world
+		pl.rep.PredictedSteps = 3*world.PredictedReduceSteps() + 1
+		pl.counts = make([]int, R)
+		for r := range pl.counts {
+			pl.counts[r] = 2 * n * n / R
+			if r < 2*n*n%R {
+				pl.counts[r]++
+			}
+		}
+		pl.fused = make([][]float64, R)
+		for r := range pl.fused {
+			pl.fused[r] = make([]float64, 2*n*n)
+		}
+		pl.jOut, pl.kOut = linalg.NewSquare(n), linalg.NewSquare(n)
+		pl.reg.Counter("pool.buffers_alloc").Add(int64(R + 2))
+		pl.reg.Counter("pool.buffer_bytes").Add(int64((R + 1) * 2 * n * n * 8))
+		pl.reg.Counter("mprt.rank_restarts")
+	}
 
 	pl.wake = make([]chan struct{}, nw)
 	pl.quit = make(chan struct{})
@@ -328,16 +487,39 @@ func newPool(eng *integrals.Engine, scr *screen.Result, opts Options,
 	return pl
 }
 
-// close stops the pool's persistent workers. Idempotence is the owner's
-// responsibility (Builder.Close, DistBuilder.Close).
-func (pl *pool) close() { close(pl.quit) }
+// place computes the slot assignment under the current placement model
+// — raw costs, calibrated when Steal is on, distorted by the noise plan —
+// and rebuilds the steal plan and deques from it.
+func (pl *pool) place() {
+	placed := pl.costs
+	if pl.opts.Steal {
+		placed = pl.opts.Calibrator.Scale(pl.classes, placed)
+	}
+	placed = pl.opts.Noise.Perturb(placed, pl.classes)
+	pl.asn = sched.Balance(pl.opts.Balancer, placed, pl.opts.Ranks*pl.spr)
+	plan, err := steal.NewPlan(pl.asn, pl.opts.Ranks, pl.opts.Seed)
+	if err != nil {
+		panic(err) // unreachable: the slot count is a multiple of Ranks
+	}
+	pl.plan = plan
+	pl.deques = steal.NewDeques(plan, pl.reg)
+	pl.placedEpoch = pl.opts.Calibrator.Epoch()
+	pl.rep.Loads = plan.PredLoads()
+	pl.rep.BalancePredicted = maxMeanRatio(pl.rep.Loads)
+}
 
-// Close stops the persistent worker pool. It is idempotent and must not
-// be called concurrently with BuildJK. A finalizer calls Close if the
-// builder is collected without it, so forgetting Close leaks nothing
-// permanently — but calling it promptly releases the goroutines sooner.
+// Close stops the persistent worker pool and the mprt world. It is
+// idempotent and must not be called concurrently with BuildJK. A
+// finalizer calls Close if the builder is collected without it, so
+// forgetting Close leaks nothing permanently — but calling it promptly
+// releases the goroutines sooner.
 func (b *Builder) Close() {
-	b.closeOnce.Do(func() { b.pl.close() })
+	b.closeOnce.Do(func() {
+		close(b.pl.quit)
+		if b.pl.world != nil {
+			b.pl.world.Close()
+		}
+	})
 	runtime.SetFinalizer(b, nil)
 }
 
@@ -345,7 +527,7 @@ func (b *Builder) Close() {
 // simulator.
 func (b *Builder) Tasks() []Task { return b.pl.tasks }
 
-// Assignment exposes the static schedule (read-only).
+// Assignment exposes the current slot placement (read-only).
 func (b *Builder) Assignment() *sched.Assignment { return b.pl.asn }
 
 // worker is the persistent loop of one pool worker. It sleeps on its
@@ -378,55 +560,75 @@ func (pl *pool) broadcast() {
 	pl.done.Wait()
 }
 
-// compute zeroes this worker's accumulators and runs its share of the
-// task list — the static assignment, or the shared cost-ordered queue
-// when Dynamic is on.
+// compute drains this worker's rank deque, then — with Steal on — takes
+// units from other ranks until every deque is empty. A rank the
+// FaultPlan killed this build executes nothing.
 func (pl *pool) compute(w int) {
+	r := w / pl.threads
+	if r == pl.dead {
+		return
+	}
+	for {
+		u, stolen := pl.deques.PopOwn(r), false
+		if u < 0 && pl.opts.Steal {
+			u, stolen = pl.deques.Steal(r), true
+		}
+		if u < 0 {
+			return
+		}
+		pl.runUnit(w, r, u, stolen)
+		// Yield between units so the ranks' workers interleave even on a
+		// single hardware thread; otherwise one rank can drain every deque
+		// before the others run at all. Bits are unaffected.
+		runtime.Gosched()
+	}
+}
+
+// runUnit zeroes slot u's accumulators and runs its tasks into them on
+// worker w of rank r, charging the wall (and any straggler delay) to r.
+func (pl *pool) runUnit(w, r, u int, stolen bool) {
 	t0 := time.Now()
-	pl.jBufs[w].Zero()
-	pl.kBufs[w].Zero()
+	jw, kw := pl.jBufs[u], pl.kBufs[u]
+	jw.Zero()
+	kw.Zero()
 	dz := time.Since(t0)
 	pl.reg.Counter("pool.zero_ns").Add(dz.Nanoseconds())
 	pl.reg.Timer.Charge("zero", dz)
-
-	jw, kw := pl.jBufs[w], pl.kBufs[w]
-	buf := pl.eriBufs[w]
-	sc := pl.scratch[w]
-	if pl.order != nil {
-		for {
-			i := int(pl.next.Add(1)) - 1
-			if i >= len(pl.order) {
-				return
-			}
-			pl.runTaskObserved(pl.order[i], jw, kw, buf, sc)
-		}
+	for _, ti := range pl.plan.Units[u].Tasks {
+		pl.runTaskObserved(ti, jw, kw, pl.eriBufs[w], pl.scratch[w])
 	}
-	for _, ti := range pl.asn.Workers[w] {
-		pl.runTaskObserved(ti, jw, kw, buf, sc)
+	wall := time.Since(t0)
+	if stolen {
+		pl.reg.Counter(steal.CounterReclaimedNS).Add(wall.Nanoseconds())
 	}
+	if d := pl.opts.Noise.StragglerDelay(r, wall); d > 0 {
+		time.Sleep(d)
+		wall += d
+	}
+	pl.execNS[r].Add(wall.Nanoseconds())
 }
 
 // runTaskObserved wraps runTask with a per-task wall measurement folded
 // into the calibrator as a (class, raw predicted, measured) sample. With
 // no calibrator the hot path stays untimed.
 func (pl *pool) runTaskObserved(ti int, jw, kw *linalg.Matrix, buf []float64, sc *integrals.Scratch) {
-	if pl.calib == nil {
+	if pl.opts.Calibrator == nil {
 		pl.runTask(ti, jw, kw, buf, sc)
 		return
 	}
 	t0 := time.Now()
 	pl.runTask(ti, jw, kw, buf, sc)
-	pl.calib.Observe(pl.classes[ti], pl.tasks[ti].Cost, float64(time.Since(t0).Nanoseconds()))
+	pl.opts.Calibrator.Observe(pl.classes[ti], pl.tasks[ti].Cost, float64(time.Since(t0).Nanoseconds()))
 }
 
-// reduce performs this worker's merge step of the pairwise reduction
-// tree at the coordinator-set stride: worker w absorbs worker w+stride
-// when w is a tree parent at this level.
+// reduce performs this worker's share of one level of the canonical
+// binary tree over slots: slot x absorbs slot x+stride for every tree
+// parent x at this level, parents dealt round-robin to the workers.
 func (pl *pool) reduce(w int) {
-	s := pl.stride
-	if w%(2*s) == 0 && w+s < pl.nw {
-		pl.jBufs[w].AXPY(1, pl.jBufs[w+s])
-		pl.kBufs[w].AXPY(1, pl.kBufs[w+s])
+	s, ns := pl.stride, len(pl.jBufs)
+	for x := 2 * s * w; x+s < ns; x += 2 * s * pl.nw {
+		pl.jBufs[x].AXPY(1, pl.jBufs[x+s])
+		pl.kBufs[x].AXPY(1, pl.kBufs[x+s])
 	}
 }
 
@@ -436,53 +638,93 @@ func (pl *pool) reduce(w int) {
 //
 // Both are assembled in one pass over the screened canonical quartets.
 //
-// The returned matrices alias the pool's persistent accumulators: they
-// are valid until the next BuildJK on this builder, which overwrites
-// them. Callers that need both an old and a new result simultaneously
-// must copy (linalg.Matrix.Clone or CopyFrom) before rebuilding.
+// The returned matrices alias the builder's persistent buffers: they are
+// valid until the next BuildJK on this builder, which overwrites them.
+// Callers that need both an old and a new result simultaneously must
+// copy (linalg.Matrix.Clone or CopyFrom) before rebuilding.
 func (b *Builder) BuildJK(p *linalg.Matrix) (j, k *linalg.Matrix, rep Report) {
 	pl := b.pl
 	start := time.Now()
-	depth := pl.runBuild(p)
-	j, k = pl.jBufs[0], pl.kBufs[0]
-	rep = pl.buildReport(start, depth)
-	// Keep the builder (and thus its finalizer) from being collected
-	// while a build is mid-flight on the pool it owns.
-	runtime.KeepAlive(b)
-	return j, k, rep
-}
-
-// runBuild executes one compute+reduce cycle on the pool and returns the
-// reduction depth. On return jBufs[0]/kBufs[0] hold the pool's J and K
-// (the full matrices for a Builder, this rank's partials for a
-// DistBuilder rank pool).
-func (pl *pool) runBuild(p *linalg.Matrix) (depth int) {
 	pl.prepareBuild(p)
 
 	pl.phase = phaseCompute
 	t0 := time.Now()
 	pl.broadcast()
+	if pl.dead >= 0 {
+		// Restart: the dead rank's units are still on its deque; run them
+		// now. Each unit still executes exactly once into its own buffers.
+		pl.dead = -1
+		pl.rep.Restarts++
+		pl.reg.Counter("mprt.rank_restarts").Add(1)
+		pl.broadcast()
+	}
 	pl.reg.Timer.Charge("compute", time.Since(t0))
 
-	// Hierarchical pairwise reduction (binary tree), mirroring the
-	// machine-scale K allreduce over the torus. The same persistent
-	// workers execute the merge steps.
+	// Hierarchical pairwise reduction (binary tree over slots), mirroring
+	// the machine-scale K allreduce over the torus.
 	t0 = time.Now()
-	for stride := 1; stride < pl.nw; stride *= 2 {
-		depth++
-		pl.phase = phaseReduce
-		pl.stride = stride
+	if pl.world != nil {
+		pl.returnMigrated()
+	}
+	pl.phase = phaseReduce
+	for pl.stride = 1; pl.stride < pl.spr; pl.stride *= 2 {
 		pl.broadcast()
+	}
+	if pl.world != nil {
+		pl.collective()
 	}
 	pl.reg.Timer.Charge("reduce", time.Since(t0))
 	pl.p = nil
-	return depth
+
+	rep = pl.buildReport(start)
+	// Keep the builder (and thus its finalizer) from being collected
+	// while a build is mid-flight on the pool it owns.
+	runtime.KeepAlive(b)
+	return pl.jOut, pl.kOut, rep
+}
+
+// returnMigrated ships every stolen unit's J and K partials from the rank
+// that ran it back to its home rank over mprt point-to-point, in global
+// unit order. The world is in-process and the executor was the unit's
+// sole writer, so the transfer is zero-copy; bytes and hops are still
+// accounted as if the partials crossed the torus.
+func (pl *pool) returnMigrated() {
+	for u := range pl.plan.Units {
+		ex, home := pl.deques.Executor(u), pl.plan.Units[u].Home
+		if ex == home {
+			continue
+		}
+		for tag, m := range [2]*linalg.Matrix{pl.jBufs[u], pl.kBufs[u]} {
+			pl.world.Comm(ex).Send(home, 2*u+tag, m.Data)
+			pl.world.Comm(home).Recv(ex, 2*u+tag)
+		}
+	}
+}
+
+// collective sums the ranks' in-pool partials (slot r×spr of rank r) as
+// one fused [J‖K] vector with ReduceScatter + Allgatherv.
+func (pl *pool) collective() {
+	nn := len(pl.jOut.Data)
+	_ = pl.world.Run(func(c *mprt.Comm) error { // rank functions never fail
+		r := c.Rank()
+		t0 := time.Now()
+		fused := pl.fused[r]
+		copy(fused[:nn], pl.jBufs[r*pl.spr].Data)
+		copy(fused[nn:], pl.kBufs[r*pl.spr].Data)
+		full := c.Allgatherv(c.ReduceScatter(fused, pl.counts), pl.counts)
+		pl.rep.Comm[r] = time.Since(t0)
+		if r == 0 {
+			copy(pl.jOut.Data, full[:nn])
+			copy(pl.kOut.Data, full[nn:])
+		}
+		return nil
+	})
 }
 
 // prepareBuild resets the pool's per-build state for density P: timers,
-// traffic counters, the shared density pointer and the global density
-// bound. Callers that drive the workers themselves (StealBuilder)
-// use it without broadcast.
+// traffic counters, the deques (re-placing first when Steal is on and
+// the calibrator moved), the shared density pointer and the global
+// density bound.
 func (pl *pool) prepareBuild(p *linalg.Matrix) {
 	n := pl.eng.Basis.NBasis
 	if p.Rows != n || p.Cols != n {
@@ -494,10 +736,28 @@ func (pl *pool) prepareBuild(p *linalg.Matrix) {
 	if builds.Value() > 1 {
 		pl.reg.Counter("pool.reuse_hits").Add(1)
 	}
+	pl.rep.Rebalanced = pl.opts.Steal && pl.opts.Calibrator.Epoch() != pl.placedEpoch
+	if pl.rep.Rebalanced {
+		pl.place()
+	}
+	pl.deques.Reset()
+	pl.opts.Calibrator.BeginWindow()
+	if fp := pl.opts.FaultPlan; fp != nil && int64(fp.Build) == builds.Value() &&
+		fp.Rank >= 0 && fp.Rank < pl.opts.Ranks {
+		pl.dead = fp.Rank
+	}
+	pl.rep.Restarts = 0
+	for r := range pl.execNS {
+		pl.execNS[r].Store(0)
+	}
+	for i, name := range stealCounters {
+		pl.steal0[i] = pl.reg.Counter(name).Value()
+	}
+	pl.steps0 = pl.collectiveSteps()
+	pl.traffic0 = pl.traffic()
 	pl.p = p
 	pl.computed.Store(0)
 	pl.screened.Store(0)
-	pl.next.Store(0)
 	pl.qstats.Reset()
 	pl.cacheHits.Store(0)
 	pl.cacheMisses.Store(0)
@@ -518,8 +778,30 @@ func (pl *pool) prepareBuild(p *linalg.Matrix) {
 	}
 }
 
+// collectiveSteps is the lifetime reduce-scatter + allgather step count
+// (0 without a world).
+func (pl *pool) collectiveSteps() int64 {
+	if pl.world == nil {
+		return 0
+	}
+	return pl.reg.Counter("mprt.reducescatter.steps").Value() +
+		pl.reg.Counter("mprt.allgatherv.steps").Value()
+}
+
+// traffic sums the lifetime bytes, sends and hops of every rank (zero
+// without a world).
+func (pl *pool) traffic() (t [3]int64) {
+	for r := 0; pl.world != nil && r < pl.opts.Ranks; r++ {
+		c := pl.world.Comm(r)
+		t[0] += c.BytesSent()
+		t[1] += c.Sends()
+		t[2] += c.HopsSent()
+	}
+	return t
+}
+
 // buildReport assembles the Report for the build cycle that just ran.
-func (pl *pool) buildReport(start time.Time, depth int) Report {
+func (pl *pool) buildReport(start time.Time) Report {
 	builds := pl.reg.Counter("pool.builds")
 	rep := Report{
 		NTasks:           len(pl.tasks),
@@ -527,8 +809,7 @@ func (pl *pool) buildReport(start time.Time, depth int) Report {
 		QuartetsScreened: pl.screened.Load(),
 		BalanceRatio:     pl.asn.BalanceRatio(),
 		TheoreticalEff:   pl.asn.TheoreticalEfficiency(),
-		Wall:             time.Since(start),
-		ReduceDepth:      depth,
+		ReduceDepth:      bits.Len(uint(len(pl.jBufs) - 1)),
 		ScreeningStats:   pl.scr.Stats,
 		TaskCostStats:    pl.costStats,
 		Timings:          pl.reg.Timer,
@@ -541,6 +822,7 @@ func (pl *pool) buildReport(start time.Time, depth int) Report {
 			ReuseHits:        pl.reg.Counter("pool.reuse_hits").Value(),
 			ZeroTime:         time.Duration(pl.reg.Counter("pool.zero_ns").Value()),
 		},
+		Ranks: &pl.rep,
 	}
 	if pl.opts.Vector {
 		rep.LaneUtilization = pl.qstats.Utilization()
@@ -559,7 +841,39 @@ func (pl *pool) buildReport(start time.Time, depth int) Report {
 		rep.Cache.Evictions = pl.cache.evictions.Load()
 		rep.Pool.CacheSlabBytes = pl.cache.slabBytes()
 	}
+
+	rr := &pl.rep
+	for r := range rr.Compute {
+		rr.Compute[r] = time.Duration(pl.execNS[r].Load())
+	}
+	rr.BalanceMeasured = maxMeanRatio(rr.Compute)
+	t := pl.traffic()
+	rr.CommBytes, rr.Sends, rr.Hops = t[0]-pl.traffic0[0], t[1]-pl.traffic0[1], t[2]-pl.traffic0[2]
+	rr.MeasuredSteps = pl.collectiveSteps() - pl.steps0
+	var d [3]int64
+	for i, name := range stealCounters {
+		d[i] = pl.reg.Counter(name).Value() - pl.steal0[i]
+	}
+	rr.StealsSucceeded, rr.Migrated, rr.IdleReclaimed = d[0], d[1], time.Duration(d[2])
+	if cal := pl.opts.Calibrator; cal != nil {
+		rr.CalibErr, rr.CalibRawErr, _ = cal.WindowErr()
+		rr.CalibObservations = cal.Observations()
+	}
+	rep.Wall = time.Since(start)
 	return rep
+}
+
+// maxMeanRatio returns max/mean of v (1 when the sum is not positive).
+func maxMeanRatio[T float64 | time.Duration](v []T) float64 {
+	var max, sum float64
+	for _, x := range v {
+		sum += float64(x)
+		max = math.Max(max, float64(x))
+	}
+	if sum <= 0 {
+		return 1
+	}
+	return max / (sum / float64(len(v)))
 }
 
 // slot mappings of the 8 index permutations of a quartet (a,b,c,d) that

@@ -14,13 +14,12 @@ import (
 // computed and replayed on later builds so the re-contraction against a new
 // density skips ERI evaluation entirely.
 //
-// The cache is sharded by the static assignment: every task belongs to
-// exactly one shard (the worker the balancer gave it to), and a quartet's
-// slot is only ever written by the worker executing that task. Builds are
+// The cache is sharded by the slot placement: every task belongs to
+// exactly one shard (the slot the balancer gave it to), and a quartet's
+// entry is only ever written by the worker executing that task — each
+// slot runs on one worker per build, whichever worker pops it. Builds are
 // barrier-separated, so the hot path needs no locks and performs no
-// allocation. This holds under Dynamic dispatch too — the shard comes from
-// the static assignment, which is always computed, and a slot is still
-// touched by at most one worker per build.
+// allocation. A re-placement keeps the shards: they only lay out memory.
 //
 // Admission is decided once, at NewBuilder time, in descending priority
 // order (Schwarz bound × predicted block cost): the quartets most likely to

@@ -1,6 +1,7 @@
 package hfx
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -312,27 +313,22 @@ func BenchmarkBuildKWater4(b *testing.B) {
 	}
 }
 
+// TestDynamicExecutionMatchesStatic pins dynamic dispatch on one rank:
+// with Units > 1 and Steal on, the workers pull slots off the rank's
+// deque in whatever order they get to them, yet J and K must equal —
+// bit for bit — a static build over the same slot count.
 func TestDynamicExecutionMatchesStatic(t *testing.T) {
 	eng, scr := setup(t, chem.WaterCluster(3, 17), 1e-12)
 	p := testDensity(eng.Basis.NBasis, 9)
 	static := DefaultOptions()
 	static.Threads = 4
 	static.Vector = false
-	js, ks, _ := NewBuilder(eng, scr, static).BuildJK(p)
+	js, ks, _ := build(eng, scr, static, p)
 
-	engD := integrals.NewEngine(eng.Basis)
-	dyn := DefaultOptions()
-	dyn.Threads = 4
-	dyn.Vector = false
-	dyn.Dynamic = true
-	jd, kd, rep := NewBuilder(engD, scr, dyn).BuildJK(p)
-
-	if d := linalg.MaxAbsDiff(js, jd); d > 1e-12 {
-		t.Fatalf("dynamic J differs by %g", d)
-	}
-	if d := linalg.MaxAbsDiff(ks, kd); d > 1e-12 {
-		t.Fatalf("dynamic K differs by %g", d)
-	}
+	dyn := static
+	dyn.Threads, dyn.Units, dyn.Steal = 2, 2, true
+	jd, kd, rep := build(integrals.NewEngine(eng.Basis), scr, dyn, p)
+	requireBitwise(t, "dynamic vs static", jd, kd, js, ks)
 	if rep.QuartetsComputed == 0 {
 		t.Fatal("dynamic run computed nothing")
 	}
@@ -413,27 +409,22 @@ func TestPooledRepeatMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestPooledDynamicRepeatIsStable exercises the persistent pool with the
-// dynamic queue: repeated builds with the same density must agree with
-// the first to roundoff, whatever worker claimed which task.
+// TestPooledDynamicRepeatIsStable exercises the persistent pool with
+// dynamic dispatch: every rebuild with the same density must reproduce
+// the static build over the same slot count bit for bit, whatever worker
+// claimed which slot.
 func TestPooledDynamicRepeatIsStable(t *testing.T) {
 	eng, scr := setup(t, chem.WaterCluster(2, 5), 1e-12)
+	p := testDensity(eng.Basis.NBasis, 41)
 	opts := DefaultOptions()
 	opts.Threads = 4
-	opts.Dynamic = true
+	js, ks, _ := build(eng, scr, opts, p)
+	opts.Threads, opts.Units, opts.Steal = 2, 2, true
 	b := NewBuilder(eng, scr, opts)
 	defer b.Close()
-	p := testDensity(eng.Basis.NBasis, 41)
-	j0, k0, _ := b.BuildJK(p)
-	j0, k0 = j0.Clone(), k0.Clone() // results alias pool buffers
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 4; i++ {
 		j, k, _ := b.BuildJK(p)
-		if d := linalg.MaxAbsDiff(j, j0); d > 1e-12 {
-			t.Fatalf("rebuild %d: dynamic J drifted by %g", i, d)
-		}
-		if d := linalg.MaxAbsDiff(k, k0); d > 1e-12 {
-			t.Fatalf("rebuild %d: dynamic K drifted by %g", i, d)
-		}
+		requireBitwise(t, fmt.Sprintf("rebuild %d", i), j.Data, k.Data, js, ks)
 	}
 }
 

@@ -204,30 +204,30 @@ func TestCacheInvalidate(t *testing.T) {
 	}
 }
 
-// TestCacheDynamicDispatch: the shard comes from the static assignment, so
-// semi-direct replay must also work (lock-free, correct) under the dynamic
-// work queue where a task may run on a different worker each build.
+// TestCacheDynamicDispatch: the shard comes from the placement, so
+// semi-direct replay must also work (lock-free, bitwise) under dynamic
+// dispatch, where a slot may run on a different worker each build. The
+// warm builds must equal a static semi-direct build over the same slot
+// count bit for bit.
 func TestCacheDynamicDispatch(t *testing.T) {
 	eng, scr := setup(t, chem.WaterCluster(2, 1), 1e-8)
 	p := testDensity(eng.Basis.NBasis, 1)
 	opts := DefaultOptions()
-	direct := NewBuilder(eng, scr, opts)
-	defer direct.Close()
 	opts.CacheBudgetBytes = 256 << 20
-	opts.Dynamic = true
 	opts.Threads = 4
+	static := NewBuilder(eng, scr, opts)
+	defer static.Close()
+	opts.Threads, opts.Units, opts.Steal = 2, 2, true
 	semi := NewBuilder(eng, scr, opts)
 	defer semi.Close()
-	jd, kd, _ := direct.BuildJK(p)
+	static.BuildJK(p)
+	js, ks, _ := static.BuildJK(p)
 	semi.BuildJK(p)
-	js, ks, rep := semi.BuildJK(p)
-	if rep.Cache.Misses != 0 {
-		t.Fatalf("dynamic warm build missed %d quartets", rep.Cache.Misses)
-	}
-	if diff := linalg.MaxAbsDiff(jd, js); diff > 1e-12 {
-		t.Fatalf("dynamic semi-direct J diff %g", diff)
-	}
-	if diff := linalg.MaxAbsDiff(kd, ks); diff > 1e-12 {
-		t.Fatalf("dynamic semi-direct K diff %g", diff)
+	for build := 2; build <= 3; build++ {
+		jd, kd, rep := semi.BuildJK(p)
+		if rep.Cache.Misses != 0 {
+			t.Fatalf("build %d: dynamic warm build missed %d quartets", build, rep.Cache.Misses)
+		}
+		requireBitwise(t, fmt.Sprintf("build %d", build), jd.Data, kd.Data, js.Data, ks.Data)
 	}
 }

@@ -388,16 +388,15 @@ func (s *Server) Store() *store.Store { return s.store }
 
 // workerState is the long-lived per-worker builder cache: a worker keeps
 // its most recent hfx.Builder (and the basis/engine it is bound to)
-// alive across jobs, so consecutive jobs on the same geometry and method
-// reuse the persistent pool instead of re-allocating it.
+// alive across jobs, so consecutive jobs on the same geometry, method and
+// rank count reuse the persistent pool instead of re-allocating it.
 type workerState struct {
 	key     string
 	builder *hfx.Builder
-	dist    *hfx.DistBuilder
 	prep    *prepared
 }
 
-// close releases the cached builders, if any, spilling the semi-direct
+// close releases the cached builder, if any, spilling the semi-direct
 // ERI cache to the store first: builder eviction is exactly when the
 // integral work it holds would otherwise be lost.
 func (st *workerState) close(s *Server) {
@@ -405,11 +404,6 @@ func (st *workerState) close(s *Server) {
 		s.spillERI(st.builder)
 		st.builder.Close()
 		st.builder = nil
-		s.reg.Gauge("builders.open").Add(-1)
-	}
-	if st.dist != nil {
-		st.dist.Close()
-		st.dist = nil
 		s.reg.Gauge("builders.open").Add(-1)
 	}
 }
@@ -452,8 +446,15 @@ func (s *Server) warmERI(b *hfx.Builder) {
 }
 
 // builderFor returns a builder for the job's prepared state, reusing the
-// cached one when the builder key matches. A replacement builder with a
-// semi-direct cache is warmed from any spilled image in the store.
+// cached one when the builder key (which includes the rank count)
+// matches. A replacement builder with a semi-direct cache is warmed from
+// any spilled image in the store.
+//
+// Ranks jobs run one thread per rank with no ERI cache, no stealing and
+// no calibrator: placement stays fixed, so the distributed build is
+// bitwise identical to the single-rank one and ranks can stay out of the
+// result cache key. Only the wall-time decomposition and the traffic
+// metrics change. The single-rank builders feed the calibrator instead.
 func (st *workerState) builderFor(j *job, s *Server) *hfx.Builder {
 	if st.builder != nil && st.key == j.prep.builderKey {
 		s.reg.Counter("builders.reused").Add(1)
@@ -461,10 +462,16 @@ func (st *workerState) builderFor(j *job, s *Server) *hfx.Builder {
 	}
 	st.close(s)
 	opts := hfx.DefaultOptions()
-	opts.Threads = s.cfg.BuilderThreads
 	opts.DensityWeighted = *j.req.DensityWeighted
-	opts.CacheBudgetBytes = int64(j.req.CacheMB) << 20
-	opts.Calibrator = s.cfg.Calibrator
+	if j.req.Ranks > 1 {
+		opts.Ranks = j.req.Ranks
+		opts.Threads = 1
+		opts.Schedule = mprt.DimExchange
+	} else {
+		opts.Threads = s.cfg.BuilderThreads
+		opts.CacheBudgetBytes = int64(j.req.CacheMB) << 20
+		opts.Calibrator = s.cfg.Calibrator
+	}
 	st.builder = hfx.NewBuilder(j.prep.eng, j.prep.scr, opts)
 	st.key = j.prep.builderKey
 	st.prep = j.prep
@@ -472,39 +479,6 @@ func (st *workerState) builderFor(j *job, s *Server) *hfx.Builder {
 	s.reg.Gauge("builders.open").Add(1)
 	s.warmERI(st.builder)
 	return st.builder
-}
-
-// distBuilderFor is builderFor's multi-rank counterpart: it caches a
-// DistBuilder under the same builder key (which includes the rank
-// count, so single-rank and distributed builders never collide). The
-// distributed build is bitwise identical to the single-rank one; only
-// the wall-time decomposition and the traffic metrics change.
-func (st *workerState) distBuilderFor(j *job, s *Server) (*hfx.DistBuilder, error) {
-	if st.dist != nil && st.key == j.prep.builderKey {
-		s.reg.Counter("builders.reused").Add(1)
-		return st.dist, nil
-	}
-	st.close(s)
-	opts := hfx.DefaultOptions()
-	opts.DensityWeighted = *j.req.DensityWeighted
-	// No calibrator here: calibrated placement would regroup the partial
-	// sums and drift the distributed bits away from the single-rank build,
-	// violating the invariant that lets ranks stay out of the result cache
-	// key. The single-rank builders feed the calibrator instead.
-	d, err := hfx.NewDistBuilder(j.prep.eng, j.prep.scr, hfx.DistOptions{
-		Ranks:    j.req.Ranks,
-		Schedule: mprt.DimExchange,
-		Opts:     opts,
-	})
-	if err != nil {
-		return nil, err
-	}
-	st.dist = d
-	st.key = j.prep.builderKey
-	st.prep = j.prep
-	s.reg.Counter("builders.created").Add(1)
-	s.reg.Gauge("builders.open").Add(1)
-	return d, nil
 }
 
 // worker is the persistent job loop: pop, execute, finish; on drain it
@@ -553,8 +527,10 @@ func (s *Server) finish(j *job, res *JobResult) {
 	res.PredictedCostNS = j.predicted
 	switch res.State {
 	case StateDone:
-		s.reg.Counter("jobs.done").Add(1)
+		// Cache first: a reader that sees jobs.done move must also find
+		// the result in the cache.
 		s.cache.put(j.key, *res)
+		s.reg.Counter("jobs.done").Add(1)
 		s.reg.Gauge("cache.entries").Set(int64(s.cache.entries()))
 		s.reg.Gauge("cache.bytes").Set(s.cache.bytes())
 	case StateFailed:
@@ -662,15 +638,15 @@ func (s *Server) runSCF(j *job) *JobResult {
 	return &JobResult{State: StateDone, SCF: SummarizeSCF(res)}
 }
 
+// runBuildJK runs one Fock build on the SAD density. With ranks > 1 the
+// build runs on the in-process mprt runtime, and the summary carries the
+// collective traffic.
 func (s *Server) runBuildJK(st *workerState, j *job) *JobResult {
-	if j.req.Ranks > 1 {
-		return s.runDistBuildJK(st, j)
-	}
 	b := st.builderFor(j, s)
 	p := scf.SADDensity(j.prep.set)
 	jm, km, rep := b.BuildJK(p)
 	s.mergeReport(rep)
-	return &JobResult{State: StateDone, Build: &BuildSummary{
+	sum := &BuildSummary{
 		NBasis:           j.prep.set.NBasis,
 		NTasks:           rep.NTasks,
 		QuartetsComputed: rep.QuartetsComputed,
@@ -682,37 +658,13 @@ func (s *Server) runBuildJK(st *workerState, j *job) *JobResult {
 		ExchangeEnergy:   hfx.ExchangeEnergy(p, km),
 		EriCacheHits:     rep.Cache.Hits,
 		EriCacheMisses:   rep.Cache.Misses,
-	}}
-}
-
-// runDistBuildJK is the ranks > 1 path of a buildjk job: the build runs
-// on the in-process mprt runtime, and the per-rank compute/comm phase
-// walls plus the collective traffic land in the /metrics registry.
-func (s *Server) runDistBuildJK(st *workerState, j *job) *JobResult {
-	d, err := st.distBuilderFor(j, s)
-	if err != nil {
-		return &JobResult{State: StateFailed, Error: err.Error()}
 	}
-	p := scf.SADDensity(j.prep.set)
-	jm, km, rep, err := d.BuildJK(p)
-	if err != nil {
-		return &JobResult{State: StateFailed, Error: err.Error()}
+	if j.req.Ranks > 1 {
+		sum.Ranks = j.req.Ranks
+		sum.CommBytes = rep.Ranks.CommBytes
+		sum.ReduceSteps = rep.Ranks.MeasuredSteps
 	}
-	s.mergeDistReport(rep)
-	return &JobResult{State: StateDone, Build: &BuildSummary{
-		NBasis:           j.prep.set.NBasis,
-		NTasks:           rep.NTasks,
-		QuartetsComputed: rep.QuartetsComputed,
-		QuartetsScreened: rep.QuartetsScreened,
-		BalanceRatio:     rep.BalanceRatio,
-		WallNS:           rep.Wall.Nanoseconds(),
-		JNorm:            frobenius(jm),
-		KNorm:            frobenius(km),
-		ExchangeEnergy:   hfx.ExchangeEnergy(p, km),
-		Ranks:            rep.Ranks,
-		CommBytes:        rep.CommBytes,
-		ReduceSteps:      rep.MeasuredSteps,
-	}}
+	return &JobResult{State: StateDone, Build: sum}
 }
 
 func (s *Server) runScreen(j *job) *JobResult {
@@ -772,7 +724,10 @@ func (s *Server) runScan(j *job) *JobResult {
 
 // mergeReport folds one builder execution report into the server-level
 // registry: the pool/phase counters of the per-job builders become
-// cumulative service metrics next to the queue/cache gauges.
+// cumulative service metrics next to the queue/cache gauges. A
+// multi-rank build also adds its collective traffic and the per-rank
+// compute/comm phase walls, so /metrics exposes the rank decomposition
+// of every distributed job.
 func (s *Server) mergeReport(rep hfx.Report) {
 	s.reg.Counter("hfx.fock_builds").Add(max64(rep.Pool.Builds, 1))
 	s.reg.Counter("hfx.quartets_computed").Add(rep.QuartetsComputed)
@@ -788,23 +743,15 @@ func (s *Server) mergeReport(rep hfx.Report) {
 			s.reg.Timer.Charge("hfx."+p.Name, p.D)
 		}
 	}
-}
-
-// mergeDistReport folds one distributed build into the registry: the
-// aggregate build counters, the collective-traffic totals, and the
-// per-rank compute/comm phase walls, so /metrics exposes the rank
-// decomposition of every distributed job.
-func (s *Server) mergeDistReport(rep hfx.DistReport) {
-	s.reg.Counter("hfx.fock_builds").Add(1)
-	s.reg.Counter("hfx.quartets_computed").Add(rep.QuartetsComputed)
-	s.reg.Counter("hfx.quartets_screened").Add(rep.QuartetsScreened)
-	s.reg.Counter("mprt.comm_bytes").Add(rep.CommBytes)
-	s.reg.Counter("mprt.sends").Add(rep.Sends)
-	s.reg.Counter("mprt.hops").Add(rep.Hops)
-	s.reg.Counter("mprt.reduce_steps").Add(rep.MeasuredSteps)
-	for r := range rep.RankCompute {
-		s.reg.Timer.Charge(fmt.Sprintf("dist.rank%d.compute", r), rep.RankCompute[r])
-		s.reg.Timer.Charge(fmt.Sprintf("dist.rank%d.comm", r), rep.RankComm[r])
+	if rr := rep.Ranks; rr != nil && len(rr.Compute) > 1 {
+		s.reg.Counter("mprt.comm_bytes").Add(rr.CommBytes)
+		s.reg.Counter("mprt.sends").Add(rr.Sends)
+		s.reg.Counter("mprt.hops").Add(rr.Hops)
+		s.reg.Counter("mprt.reduce_steps").Add(rr.MeasuredSteps)
+		for r := range rr.Compute {
+			s.reg.Timer.Charge(fmt.Sprintf("dist.rank%d.compute", r), rr.Compute[r])
+			s.reg.Timer.Charge(fmt.Sprintf("dist.rank%d.comm", r), rr.Comm[r])
+		}
 	}
 }
 

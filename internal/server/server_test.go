@@ -371,7 +371,7 @@ func TestServerDistributedBuildJK(t *testing.T) {
 		t.Fatal("distributed exchange energy diverged")
 	}
 
-	// Same request again: the worker must reuse its cached DistBuilder.
+	// Same request again: the worker must reuse its cached multi-rank builder.
 	submit(t, ts, JobRequest{Kind: KindBuildJK, System: "water", Ranks: 4})
 	if created, reused := counter(s, "builders.created"), counter(s, "builders.reused"); created != 2 || reused != 1 {
 		t.Fatalf("builder lifecycle: created=%d reused=%d, want 2/1", created, reused)

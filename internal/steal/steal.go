@@ -12,8 +12,7 @@
 //
 // The package is physics-agnostic: it plans, queues and calibrates
 // abstract units identified by task-cost arrays and integer work classes.
-// hfx.StealBuilder supplies the quartet execution and the mprt
-// collectives.
+// hfx.Builder supplies the quartet execution and the mprt collectives.
 package steal
 
 import (
@@ -28,7 +27,8 @@ import (
 )
 
 // Counter names the runtime records into its trace.Registry. They appear
-// in DistReport metrics and, via the hfxd registry merge, in /metrics.
+// in the hfx.Builder's metrics registry, and their per-build deltas in
+// hfx.RankReport.
 const (
 	CounterAttempted   = "steal.attempted"         // steal probes (incl. empty victims)
 	CounterSucceeded   = "steal.succeeded"         // probes that took a unit
@@ -144,15 +144,18 @@ type Deques struct {
 	plan   *Plan
 	reg    *trace.Registry
 	orders [][]int // victim probe order per thief, precomputed
+	own    [][]int // per rank: own units in pop order, fixed by the plan
 
-	mu sync.Mutex
-	q  [][]int // unit indices per rank; front = next own, back = next stolen
+	mu  sync.Mutex
+	buf [][]int // per rank: backing store of q, sized once
+	q   [][]int // unit indices per rank; front = next own, back = next stolen
 
 	exec []atomic.Int32 // executor rank per unit, written by whoever runs it
 }
 
-// NewDeques prepares the queues for a plan. Reset must be called before
-// each build.
+// NewDeques prepares the queues for a plan: each rank's own units in
+// descending predicted cost (slot index breaks ties), computed once.
+// Reset must be called before each build.
 func NewDeques(p *Plan, reg *trace.Registry) *Deques {
 	if reg == nil {
 		reg = trace.NewRegistry()
@@ -161,11 +164,26 @@ func NewDeques(p *Plan, reg *trace.Registry) *Deques {
 		plan:   p,
 		reg:    reg,
 		orders: make([][]int, p.Ranks),
+		own:    make([][]int, p.Ranks),
+		buf:    make([][]int, p.Ranks),
 		q:      make([][]int, p.Ranks),
 		exec:   make([]atomic.Int32, len(p.Units)),
 	}
+	for u := range p.Units {
+		home := p.Units[u].Home
+		d.own[home] = append(d.own[home], u)
+	}
 	for r := 0; r < p.Ranks; r++ {
 		d.orders[r] = VictimOrder(p.Seed, r, p.Ranks)
+		own := d.own[r]
+		sort.Slice(own, func(i, j int) bool {
+			ui, uj := &p.Units[own[i]], &p.Units[own[j]]
+			if ui.Pred != uj.Pred {
+				return ui.Pred > uj.Pred
+			}
+			return ui.Slot < uj.Slot
+		})
+		d.buf[r] = make([]int, len(own))
 	}
 	for _, name := range []string{CounterAttempted, CounterSucceeded, CounterMigrated, CounterReclaimedNS} {
 		reg.Counter(name)
@@ -174,32 +192,17 @@ func NewDeques(p *Plan, reg *trace.Registry) *Deques {
 	return d
 }
 
-// Registry exposes the steal counters.
-func (d *Deques) Registry() *trace.Registry { return d.reg }
-
-// Reset refills every rank's deque from the plan: own units in
-// descending predicted cost (slot index breaks ties), executor map
-// cleared to the homes.
+// Reset refills every rank's deque with its own units in the order
+// NewDeques fixed and clears the executor map to the homes. It does not
+// allocate.
 func (d *Deques) Reset() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for r := range d.q {
-		d.q[r] = d.q[r][:0]
+		d.q[r] = d.buf[r][:copy(d.buf[r], d.own[r])]
 	}
 	for u := range d.plan.Units {
-		home := d.plan.Units[u].Home
-		d.q[home] = append(d.q[home], u)
-		d.exec[u].Store(int32(home))
-	}
-	for r := range d.q {
-		q := d.q[r]
-		sort.Slice(q, func(i, j int) bool {
-			ui, uj := &d.plan.Units[q[i]], &d.plan.Units[q[j]]
-			if ui.Pred != uj.Pred {
-				return ui.Pred > uj.Pred
-			}
-			return ui.Slot < uj.Slot
-		})
+		d.exec[u].Store(int32(d.plan.Units[u].Home))
 	}
 }
 

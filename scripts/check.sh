@@ -1,88 +1,57 @@
 #!/bin/sh
-# Repository check: vet, build, race-enabled tests, the steady-state
-# allocation guards (BenchmarkBuildJKPooled and BenchmarkBuildJKSemiDirect
-# must report 0 allocs/op — enforced in-suite by TestSteadyStateBuildAllocs
-# and TestSemiDirectReplayAllocs, surfaced here for inspection), an
-# explicit race pass over the semi-direct cache correctness tests and the
-# hfxd job service (its concurrency criteria: >= 8 parallel jobs, queue
-# backpressure, drain, no goroutine leak), the hfxd end-to-end smoke test,
-# and the Fock bench regression gate: a fresh scripts/bench_fock.sh run
-# must not regress semi-direct ns/op by >20% against the committed
-# BENCH_fock.json baseline. The mprt runtime gets its own race pass (the
-# collectives and the bitwise-pinned distributed build), a model gate
-# (TestMeasuredStepsMatchModel fails when the measured collective step
-# counters diverge from the bgq machine-model prediction), and a 4-rank
-# hfxscale d1 smoke run (expD1 itself aborts on model divergence).
-# The checkpoint layer gets a race pass over every fault-injected resume
-# path plus a real SIGKILL crash-restart smoke (scripts/smoke_ckpt.sh)
-# that diffs the resumed run's final-state hash against an
-# uninterrupted reference. The fleet router and workload generator get
-# their own race pass (routing policies, typed failover, trace replay),
-# and a seeded-replay determinism smoke: the same c1 workload replayed
-# twice must print identical per-SLO-class counts and digests.
-# The tiered store gets a race pass (torn tails, corrupt-CRC skips,
-# concurrent get/put/promote), a SIGKILL kill-and-restart smoke
-# (scripts/smoke_store.sh: the repeated job must be a disk-warm hit with
-# zero Fock builds on the restarted daemon), and a fast bench_store.sh
-# run whose in-run gates enforce the tier latency ordering, the bitwise
-# ERI spill round trip, and the shared-store fleet hit-ratio gain.
-# The work-stealing runtime gets a race pass (deques, victim order,
-# bitwise steal-vs-static pin under noise, calibrator convergence, the
-# calibrated admission/routing seams) and the full w1 gate run: stealing
-# must beat static measured balance under >=20% mispredicts plus a
-# straggler rank, every arm must stay bitwise identical, and the final
-# build's calibrated prediction error must undercut the raw cost model.
-# The RESPA multiple-time-step layer gets a race pass (the k-sweep drift
-# gates, bitwise resume on and between outer boundaries, the cross-step
-# session's warm-start/invalidation tests, the hfxd trajectory job),
-# a SIGKILL crash-restart smoke over a k=2 campaign (scripts/smoke_mts.sh,
-# resume must land bitwise on the uninterrupted reference), and the full
-# m1 gate run: the k=4 drift must stay within the committed k^2 bound of
-# the k=1 baseline, the warm/cold SCF-iteration ratio must undercut the
-# committed reuse factor, and the in-process mid-cycle crash/resume must
-# be bitwise identical.
+# Repository check: vet, build, one race-enabled pass over every test,
+# the steady-state allocation guards (BenchmarkBuildJKPooled and
+# BenchmarkBuildJKSemiDirect must report 0 allocs/op — enforced in-suite
+# by TestSteadyStateBuildAllocs and TestSemiDirectReplayAllocs, surfaced
+# here for inspection), and the gate runs and smokes that are not Go
+# tests:
+#
+#   - a 4-rank hfxscale d1 run (expD1 aborts when the measured collective
+#     steps diverge from the bgq model prediction);
+#   - the hfxd end-to-end smoke (scripts/smoke_hfxd.sh);
+#   - a real SIGKILL crash-restart smoke of a checkpointed aimd run
+#     (scripts/smoke_ckpt.sh: the resumed run's final-state hash must
+#     equal the uninterrupted reference);
+#   - the c1 seeded-replay determinism smoke: the same c1 workload
+#     replayed twice must print identical per-SLO-class counts and
+#     digests;
+#   - the store's SIGKILL kill-and-restart smoke (scripts/smoke_store.sh:
+#     the repeated job must be a disk-warm hit with zero Fock builds) and
+#     a fast bench_store.sh run whose in-run gates enforce the tier
+#     latency ordering, the bitwise ERI spill round trip and the
+#     shared-store fleet hit-ratio gain;
+#   - the full w1 gate run: stealing must beat static measured balance
+#     under >=20% mispredicts plus a straggler rank, every arm must stay
+#     bitwise identical, and the final build's calibrated prediction
+#     error must undercut the raw cost model;
+#   - a SIGKILL crash-restart smoke over a k=2 RESPA campaign
+#     (scripts/smoke_mts.sh) and the full m1 gate run: the k=4 drift must
+#     stay within the committed k^2 bound of the k=1 baseline, the
+#     warm/cold SCF-iteration ratio must undercut the committed reuse
+#     factor, and the in-process mid-cycle crash/resume must be bitwise
+#     identical;
+#   - the Fock bench regression gate: a fresh scripts/bench_fock.sh run
+#     must not regress semi-direct ns/op by >20% against the committed
+#     BENCH_fock.json baseline.
 set -eux
 
 cd "$(dirname "$0")/.."
 
 go vet ./...
 go build ./...
-go test -race ./...
-# Semi-direct/early-exit correctness under the race detector, explicitly.
-go test -race -count=1 ./internal/hfx/ -run 'SemiDirect|EarlyExit|Cache|SteadyState'
+go test -race -count=1 ./...
 # Alloc guards: one iteration is enough — the benchmarks fail themselves
 # on warm-cache misses, and the allocs/op column must read 0.
 go test ./internal/hfx/ -run '^$' -bench 'BenchmarkBuildJK(Pooled|SemiDirect)$' -benchtime 1x
-go test -race -count=1 ./internal/server/ ./internal/trace/
-# mprt runtime and the rank-distributed build: race pass over the
-# collectives, the bitwise single-rank pin, and the torus embedding.
-go test -race -count=1 ./internal/mprt/ ./internal/torus/
-go test -race -count=1 ./internal/hfx/ -run 'TestDistributedBuildMatchesSingleRank|TestDistBuilder'
-# Model gate: measured collective steps must equal the bgq machine-model
-# prediction for both schedules on every tested world size.
-go test -count=1 ./internal/mprt/ -run 'TestMeasuredStepsMatchModel'
 # 4-rank distributed scaling smoke: expD1 log.Fatals if the measured
 # step counters diverge from the model.
 go run ./cmd/hfxscale -exp d1 -d1-ranks 1,4 -d1-waters 1
 scripts/smoke_hfxd.sh
-# Checkpoint/restart: race pass over the durability layer, the bitwise
-# resume tests (every fault mode: clean crash, torn journal write,
-# corrupt snapshot section), the rank-fault recovery pin, and the hfxd
-# job-journal boot replay.
-go test -race -count=1 ./internal/ckpt/
-go test -race -count=1 ./internal/md/ -run 'TestResume|TestStepError|TestSCFNonConvergence'
-go test -race -count=1 ./internal/hfx/ -run 'TestDistBuilderRankFaultRecovery'
-go test -race -count=1 ./internal/server/ -run 'TestJobJournal|TestServerRestoresJournaledJobsOnBoot|TestServerJournalsLiveJobs'
 # Crash-restart smoke: SIGKILL a checkpointed aimd run, resume it, and
 # require the resumed final state hash to equal the uninterrupted
 # reference — bitwise.
 scripts/smoke_ckpt.sh
 
-# Fleet router + workload generator: race pass over the routing
-# policies, typed draining/busy failover, the client retry loop, and
-# both replay modes.
-go test -race -count=1 ./internal/fleet/ ./internal/workload/
-go test -race -count=1 ./internal/server/ -run 'TestClientDrainingErrorTyped|TestClientSubmitRetryWaitsOutBusy|TestRetryAfterIncludesInflightWork|TestCacheHitIDsDistinctFromJournaledJobIDs'
 # Seeded-replay determinism smoke: two independent c1 runs (serial
 # replays only) must agree on every per-class count and digest line.
 rep1="$(mktemp)"; rep2="$(mktemp)"
@@ -92,14 +61,6 @@ diff "$rep1" "$rep2"
 test -s "$rep1"
 rm -f "$rep1" "$rep2"
 
-# Tiered store: race pass over the crash-safety tests (torn active tail,
-# corrupt-CRC record skip, concurrent get/put/promote churn), the server
-# integration (restart disk-warm hit, ERI spill/warm, prefix density
-# seeding, store/journal dir validation), and the shared-store fleet pin.
-go test -race -count=1 ./internal/store/
-go test -race -count=1 ./internal/hfx/ -run 'TestSpill'
-go test -race -count=1 ./internal/server/ -run 'TestStoreDir|TestRestartAnswersFromDisk|TestERISpillWarms|TestPrefixDensity|TestDensityChains|TestCacheByteBudget'
-go test -race -count=1 ./internal/fleet/ -run 'TestClusterSharedStore'
 # SIGKILL kill-and-restart smoke: disk-warm hit, zero Fock builds.
 scripts/smoke_store.sh
 # Store bench (fast mode): the run fails itself if any acceptance gate
@@ -108,15 +69,6 @@ store_json="$(mktemp)"
 S1_FAST=1 scripts/bench_store.sh "$store_json"
 rm -f "$store_json"
 
-# Work-stealing runtime: race pass over the deque/victim-order unit
-# tests, the bitwise steal-vs-static pins (including injected mispredict
-# noise across rank counts), the calibration loop, the pathological
-# Balance property tests, and the calibrated admission/routing seams in
-# the server and fleet.
-go test -race -count=1 ./internal/steal/ ./internal/sched/
-go test -race -count=1 ./internal/hfx/ -run 'TestStealBuild|TestStealRecoversBalance|TestStealBuilder'
-go test -race -count=1 ./internal/server/ -run 'TestPriceRequestCalibrated|TestServerCalibrated|TestRetryAfterUsesCalibratedCosts|TestServerCalibratorPersists'
-go test -race -count=1 ./internal/fleet/ -run 'TestFleetPriceMemo|TestFleetRoutingShifts'
 # W1 gate run: aborts itself if any arm's J/K checksum diverges, if
 # stealing fails to beat the static measured balance on the >=20%
 # mispredict + straggler row, or if the final build's calibrated error
@@ -125,15 +77,6 @@ w1_json="$(mktemp)"
 go run ./cmd/hfxscale -exp w1 -w1-out "$w1_json"
 rm -f "$w1_json"
 
-# RESPA multiple time stepping: race pass over the integrator (drift
-# across k, bitwise resume on and between outer boundaries, split
-# fingerprint rejection), the cross-step session (ΔP warm start,
-# pair-list invalidation bound, seeded FD displacements), and the hfxd
-# trajectory job (streamed steps, cancel-names-step, journal replay).
-go test -race -count=1 ./internal/respa/
-go test -race -count=1 ./internal/md/ -run 'TestSession|TestForcesNSeeded'
-go test -race -count=1 ./internal/ckpt/ -run 'TestRespa|TestPlainStateImageUnchanged'
-go test -race -count=1 ./internal/server/ -run 'TestServerTrajectory'
 # SIGKILL crash-restart smoke over a k=2 campaign: the resumed run's
 # final state hash must equal the uninterrupted reference — bitwise.
 scripts/smoke_mts.sh
