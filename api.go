@@ -232,7 +232,8 @@ func CollectiveScheduleByName(name string) (CollectiveSchedule, bool) {
 // ---------------------------------------------------------------------------
 // Dynamics layer.
 
-// MDOptions configures a BOMD trajectory.
+// MDOptions configures a BOMD trajectory, plain or multiple-time-step
+// (RunMD and RunRESPA share it).
 type MDOptions = md.Options
 
 // Trajectory is an MD run result.
@@ -271,9 +272,11 @@ func StoredSCFPotential(cfg SCFConfig, st *Store) PotentialFunc {
 	return md.StoredSCFPotential(cfg, st)
 }
 
-// RunMD integrates a Born–Oppenheimer trajectory.
+// RunMD integrates a plain Born–Oppenheimer trajectory: velocity
+// Verlet on finite-difference forces of pot at opts.FDStep. It is
+// RunRESPA with no cheap reference and K=1.
 func RunMD(mol *Molecule, pot PotentialFunc, opts MDOptions) (*Trajectory, error) {
-	return md.Run(mol, pot, opts)
+	return md.Run(mol, md.FDEvaluator(pot, opts.FDStep, 0), nil, opts)
 }
 
 // DistanceScan computes a constrained approach/dissociation profile.
@@ -302,13 +305,13 @@ type MDStepError = md.StepError
 
 // RespaOptions configures a multiple-time-step trajectory: K inner
 // steps on a cheap reference force per full-surface evaluation.
-type RespaOptions = respa.Options
+type RespaOptions = md.Options
 
 // RespaEvaluator is the full (slow) surface: energy plus forces.
-type RespaEvaluator = respa.Evaluator
+type RespaEvaluator = md.Evaluator
 
 // RespaForceField is the cheap (fast) reference surface: forces only.
-type RespaForceField = respa.ForceField
+type RespaForceField = md.ForceField
 
 // The built-in cheap-reference modes of BuildRespaReference.
 const (
@@ -319,17 +322,20 @@ const (
 
 // RunRESPA integrates an r-RESPA trajectory: inner velocity Verlet on
 // the cheap force at δt, the slow correction F_full − F_cheap applied
-// every K-th step. Checkpoint/resume composes with CkptWriter exactly
-// as RunMD's does and stays bitwise across boundaries.
+// every K-th step. With a nil cheap force (K must then be 1) it is
+// plain velocity Verlet on the full surface — the one integrator
+// behind RunMD too. Checkpoint/resume composes with CkptWriter and
+// stays bitwise across boundaries.
 func RunRESPA(mol *Molecule, full RespaEvaluator, cheap RespaForceField, opts RespaOptions) (*Trajectory, error) {
-	return respa.Run(mol, full, cheap, opts)
+	return md.Run(mol, full, cheap, opts)
 }
 
 // RespaFDEvaluator lifts a PotentialFunc into a full-surface evaluator
-// via central finite differences (the same displacement order RunMD
-// uses, so k=1 RESPA matches plain BOMD step for step).
+// via central finite differences — the evaluator RunMD builds, so a
+// run through RunRESPA with it (h = opts.FDStep) and no reference is
+// RunMD bit for bit.
 func RespaFDEvaluator(pot PotentialFunc, h float64, workers int) RespaEvaluator {
-	return respa.FDEvaluator(pot, h, workers)
+	return md.FDEvaluator(pot, h, workers)
 }
 
 // BuildRespaReference resolves a named cheap-force mode ("spring",

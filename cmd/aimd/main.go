@@ -92,8 +92,20 @@ func main() {
 		pot = hfxmd.StoredSCFPotential(scfCfg, st)
 	}
 
+	// One integrator for every -k: the full surface (FD forces on the
+	// SCF potential, including any store-seeded variant) every k-th
+	// step, the named cheap reference in between; at k=1 there is no
+	// reference and the loop is plain velocity Verlet.
 	opts := hfxmd.MDOptions{
-		Steps: *steps, Dt: *dt, TemperatureK: *temp, Thermostat: *thermostat, Seed: *seed,
+		Steps: *steps, K: *respaK, Dt: *dt, TemperatureK: *temp, Thermostat: *thermostat, Seed: *seed,
+	}
+	var cheap hfxmd.RespaForceField
+	if *respaK > 1 {
+		var err error
+		cheap, opts.RefLabel, err = hfxmd.BuildRespaReference(*ref, mol, scfCfg, 0, 0)
+		if err != nil {
+			log.Fatal(err)
+		}
 	}
 
 	reg := hfxmd.NewTraceRegistry()
@@ -139,24 +151,7 @@ func main() {
 	}
 
 	t0 := time.Now()
-	var traj *hfxmd.Trajectory
-	var err error
-	if *respaK > 1 {
-		// Multiple time stepping: the full surface (FD forces on the SCF
-		// potential, including any store-seeded variant) every k-th step,
-		// the named cheap reference in between.
-		cheap, label, rerr := hfxmd.BuildRespaReference(*ref, mol, scfCfg, 0, 0)
-		if rerr != nil {
-			log.Fatal(rerr)
-		}
-		traj, err = hfxmd.RunRESPA(mol, hfxmd.RespaFDEvaluator(pot, 0, 0), cheap, hfxmd.RespaOptions{
-			Steps: *steps, K: *respaK, Dt: *dt, TemperatureK: *temp,
-			Thermostat: *thermostat, Seed: *seed, RefLabel: label,
-			Ckpt: opts.Ckpt, Resume: opts.Resume,
-		})
-	} else {
-		traj, err = hfxmd.RunMD(mol, pot, opts)
-	}
+	traj, err := hfxmd.RunRESPA(mol, hfxmd.RespaFDEvaluator(pot, 0, 0), cheap, opts)
 	if err != nil {
 		var se *hfxmd.MDStepError
 		if errors.As(err, &se) {

@@ -117,8 +117,8 @@ func expM1(_, _ *hfxmd.MachineWorkload) {
 		log.Fatal(err)
 	}
 	// Static start: velocity noise would bury the drift signal.
-	mtsOpts := func(k int) respa.Options {
-		return respa.Options{Steps: m1Steps / k, K: k, Dt: m1Dt, RefLabel: refLabel}
+	mtsOpts := func(k int) md.Options {
+		return md.Options{Steps: m1Steps / k, K: k, Dt: m1Dt, RefLabel: refLabel}
 	}
 
 	out := m1Output{
@@ -134,12 +134,12 @@ func expM1(_, _ *hfxmd.MachineWorkload) {
 	drifts := map[int]float64{}
 	for _, k := range []int{1, 2, 4} {
 		sess := md.NewSession(cfg, md.SessionOptions{})
-		full := respa.Evaluator(func(m *chem.Molecule) (float64, []chem.Vec3, error) {
+		full := md.Evaluator(func(m *chem.Molecule) (float64, []chem.Vec3, error) {
 			f, e, ferr := sess.Forces(m, 0, 1)
 			return e, f, ferr
 		})
 		t0 := time.Now()
-		traj, rerr := respa.Run(mol, full, cheap, mtsOpts(k))
+		traj, rerr := md.Run(mol, full, cheap, mtsOpts(k))
 		wall := time.Since(t0)
 		if rerr != nil {
 			sess.Close()
@@ -190,8 +190,8 @@ func expM1(_, _ *hfxmd.MachineWorkload) {
 		coldIters += int64(res.Iterations)
 		return res.Energy, nil
 	}
-	coldFull := respa.FDEvaluator(coldPot, 0, 1)
-	if _, err = respa.Run(mol, coldFull, cheap, mtsOpts(1)); err != nil {
+	coldFull := md.FDEvaluator(coldPot, 0, 1)
+	if _, err = md.Run(mol, coldFull, cheap, mtsOpts(1)); err != nil {
 		log.Fatal(err)
 	}
 	out.ColdSCFIterations = coldIters
@@ -213,7 +213,7 @@ func expM1(_, _ *hfxmd.MachineWorkload) {
 	if crashAt%resumeK == 0 {
 		crashAt++
 	}
-	refTraj, err := respa.Run(mol, coldFull, cheap, mtsOpts(resumeK))
+	refTraj, err := md.Run(mol, coldFull, cheap, mtsOpts(resumeK))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func expM1(_, _ *hfxmd.MachineWorkload) {
 	}
 	victimOpts := mtsOpts(resumeK)
 	victimOpts.Ckpt = w
-	_, err = respa.Run(mol, coldFull, cheap, victimOpts)
+	_, err = md.Run(mol, coldFull, cheap, victimOpts)
 	if !errors.Is(err, ckpt.ErrInjectedCrash) {
 		log.Fatalf("resume gate: expected the injected crash at step %d, got %v", crashAt, err)
 	}
@@ -248,7 +248,7 @@ func expM1(_, _ *hfxmd.MachineWorkload) {
 	resumeOpts := mtsOpts(resumeK)
 	resumeOpts.Ckpt = w2
 	resumeOpts.Resume = res.State
-	resTraj, err := respa.Run(mol, coldFull, cheap, resumeOpts)
+	resTraj, err := md.Run(mol, coldFull, cheap, resumeOpts)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -61,14 +61,16 @@ import (
 )
 
 // MDState is the complete, restartable state of an MD trajectory after
-// a given step: everything md.Run needs to continue bit-for-bit.
+// a given step: everything md.Run needs to continue bit-for-bit, for a
+// plain (no cheap reference) or a RESPA run alike.
 type MDState struct {
 	// Step is the last completed MD step. For a RESPA trajectory it
 	// counts *inner* steps, so Step mod k locates the state within the
 	// outer cycle.
 	Step int64
 	// Pos, Vel, Frc are positions, velocities and forces (bohr, a.u.).
-	// For a RESPA trajectory Frc holds the cheap reference force.
+	// For a plain trajectory Frc holds the full-surface force, for a
+	// RESPA one the cheap reference force.
 	Pos, Vel, Frc []chem.Vec3
 	// Slow, when non-nil, marks the state as belonging to a RESPA
 	// (multiple-time-step) trajectory and holds the slow correction

@@ -55,8 +55,6 @@ type Options struct {
 	// scoped to this builder: two builders sharing one integrals.Engine
 	// may disagree on it without affecting each other.
 	Vector bool
-	// Cost overrides the cost model (zero value = DefaultCostModel).
-	Cost CostModel
 	// CacheBudgetBytes enables semi-direct builds: up to this many bytes
 	// of surviving ERI quartet blocks are cached on first evaluation and
 	// replayed (re-contracted against the new density, skipping integral
@@ -388,9 +386,6 @@ func NewBuilder(eng *integrals.Engine, scr *screen.Result, opts Options) *Builde
 		}
 		opts.CacheBudgetBytes = 0 // the semi-direct cache stays single-rank
 	}
-	if opts.Cost == (CostModel{}) {
-		opts.Cost = DefaultCostModel()
-	}
 	b := &Builder{Eng: eng, Scr: scr, Opts: opts}
 	b.pl = newPool(eng, scr, opts, spr)
 	runtime.SetFinalizer(b, (*Builder).Close)
@@ -402,7 +397,8 @@ func newPool(eng *integrals.Engine, scr *screen.Result, opts Options, spr int) *
 	R := opts.Ranks
 	pl := &pool{eng: eng, scr: scr, opts: opts, reg: trace.NewRegistry(),
 		threads: opts.Threads, spr: spr, nw: R * opts.Threads, dead: -1}
-	pl.tasks = GenerateTasks(eng.Basis, scr.Pairs, opts.Cost, opts.Granule)
+	cost := DefaultCostModel()
+	pl.tasks = GenerateTasks(eng.Basis, scr.Pairs, cost, opts.Granule)
 	pl.costs = TaskCosts(pl.tasks)
 	pl.costStats = sched.Summarize(pl.costs)
 	if opts.Calibrator != nil || opts.Noise != nil {
@@ -431,7 +427,7 @@ func newPool(eng *integrals.Engine, scr *screen.Result, opts Options, spr int) *
 	}
 	if opts.CacheBudgetBytes > 0 {
 		pl.cache = newERICache(eng.Basis, scr.Pairs, pl.tasks, pl.asn,
-			opts.Cost, opts.CacheBudgetBytes)
+			cost, opts.CacheBudgetBytes)
 	}
 	pl.rep.Compute = make([]time.Duration, R)
 	pl.rep.Comm = make([]time.Duration, R)

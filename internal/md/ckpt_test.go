@@ -29,7 +29,7 @@ func ckptPot() PotentialFunc  { return springPot(0.1, 2.0) }
 // runUninterrupted is the reference: one continuous trajectory.
 func runUninterrupted(t *testing.T, steps int) *Trajectory {
 	t.Helper()
-	traj, err := Run(ckptMol(), ckptPot(), ckptOpts(steps))
+	traj, err := runPlain(ckptMol(), ckptPot(), ckptOpts(steps))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func crashAndResume(t *testing.T, steps int, plan *ckpt.FaultPlan, every int64) 
 	}
 	opts := ckptOpts(steps)
 	opts.Ckpt = w
-	_, err = Run(ckptMol(), ckptPot(), opts)
+	_, err = runPlain(ckptMol(), ckptPot(), opts)
 	if !errors.Is(err, ckpt.ErrInjectedCrash) {
 		t.Fatalf("want injected crash, got %v", err)
 	}
@@ -83,7 +83,7 @@ func crashAndResume(t *testing.T, steps int, plan *ckpt.FaultPlan, every int64) 
 	opts = ckptOpts(steps)
 	opts.Ckpt = w2
 	opts.Resume = res.State
-	traj, err := Run(ckptMol(), ckptPot(), opts)
+	traj, err := runPlain(ckptMol(), ckptPot(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestResumeEnergyConservationAcrossBoundary(t *testing.T) {
 	// uninterrupted drift to the last ulp, and stay physically small.
 	const steps = 200
 	opts := Options{Steps: steps, Dt: 0.25, FDStep: 1e-4}
-	ref, err := Run(chem.Hydrogen(1.5), springPot(0.35, 1.4), opts)
+	ref, err := runPlain(chem.Hydrogen(1.5), springPot(0.35, 1.4), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestResumeEnergyConservationAcrossBoundary(t *testing.T) {
 	}
 	o := opts
 	o.Ckpt = w
-	if _, err := Run(chem.Hydrogen(1.5), springPot(0.35, 1.4), o); !errors.Is(err, ckpt.ErrInjectedCrash) {
+	if _, err := runPlain(chem.Hydrogen(1.5), springPot(0.35, 1.4), o); !errors.Is(err, ckpt.ErrInjectedCrash) {
 		t.Fatalf("want injected crash, got %v", err)
 	}
 	w.Close()
@@ -158,7 +158,7 @@ func TestResumeEnergyConservationAcrossBoundary(t *testing.T) {
 	}
 	o = opts
 	o.Resume = res.State
-	got, err := Run(chem.Hydrogen(1.5), springPot(0.35, 1.4), o)
+	got, err := runPlain(chem.Hydrogen(1.5), springPot(0.35, 1.4), o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,6 +172,10 @@ func TestResumeEnergyConservationAcrossBoundary(t *testing.T) {
 	}
 }
 
+// TestResumeRejectsMismatchedParams: a state from a different
+// configuration, molecule or integrator kind — and a split without a
+// reference — is a typed *ConfigError returned before any force
+// evaluation.
 func TestResumeRejectsMismatchedParams(t *testing.T) {
 	dir := t.TempDir()
 	w, err := ckpt.NewWriter(ckpt.Config{Dir: dir, Every: 5, Keep: 2})
@@ -180,7 +184,7 @@ func TestResumeRejectsMismatchedParams(t *testing.T) {
 	}
 	opts := ckptOpts(10)
 	opts.Ckpt = w
-	if _, err := Run(ckptMol(), ckptPot(), opts); err != nil {
+	if _, err := runPlain(ckptMol(), ckptPot(), opts); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()
@@ -188,17 +192,43 @@ func TestResumeRejectsMismatchedParams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A RESPA state of the same system: K=1 on a zero reference.
+	zero := func(m *chem.Molecule) ([]chem.Vec3, error) { return make([]chem.Vec3, m.NAtoms()), nil }
+	split, err := Run(ckptMol(), FDEvaluator(ckptPot(), 1e-4, 0), zero, ckptOpts(10))
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	bad := ckptOpts(20)
 	bad.Dt = 0.4 // different timestep: different dynamics
-	bad.Resume = res.State
-	if _, err := Run(ckptMol(), ckptPot(), bad); err == nil {
-		t.Fatal("resume with a different timestep must be rejected")
+	noRef := ckptOpts(20)
+	noRef.K = 2
+	cases := []struct {
+		name   string
+		mol    *chem.Molecule
+		opts   Options
+		resume *ckpt.MDState
+	}{
+		{"different timestep", ckptMol(), bad, res.State},
+		{"different molecule", chem.Hydrogen(1.4), ckptOpts(20), res.State},
+		{"RESPA state into plain run", ckptMol(), ckptOpts(20), split.Final},
+		{"K>1 without reference", ckptMol(), noRef, nil},
 	}
-	// Different molecule: atom count mismatch.
-	other := ckptOpts(20)
-	other.Resume = res.State
-	if _, err := Run(chem.Hydrogen(1.4), ckptPot(), other); err == nil {
-		t.Fatal("resume with a different molecule must be rejected")
+	for _, c := range cases {
+		var calls atomic.Int64
+		pot := func(m *chem.Molecule) (float64, error) {
+			calls.Add(1)
+			return ckptPot()(m)
+		}
+		c.opts.Resume = c.resume
+		traj, err := runPlain(c.mol, pot, c.opts)
+		var ce *ConfigError
+		if !errors.As(err, &ce) {
+			t.Fatalf("%s: want *ConfigError, got %T: %v", c.name, err, err)
+		}
+		if traj != nil || calls.Load() != 0 {
+			t.Fatalf("%s: rejected run did work (%d potential calls)", c.name, calls.Load())
+		}
 	}
 }
 
@@ -213,7 +243,7 @@ func TestStepErrorCarriesStepIndex(t *testing.T) {
 		}
 		return springPot(0.35, 1.4)(m)
 	}
-	_, err := Run(chem.Hydrogen(1.5), pot, Options{Steps: 50, Dt: 0.25, FDStep: 1e-4})
+	_, err := runPlain(chem.Hydrogen(1.5), pot, Options{Steps: 50, Dt: 0.25, FDStep: 1e-4})
 	var se *StepError
 	if !errors.As(err, &se) {
 		t.Fatalf("want *StepError, got %T: %v", err, err)
@@ -242,7 +272,7 @@ func TestSCFNonConvergenceSurfacesAsStepError(t *testing.T) {
 		}
 		return good(m)
 	}
-	_, err := Run(chem.Hydrogen(1.5), pot, Options{Steps: 50, Dt: 0.25, FDStep: 1e-4})
+	_, err := runPlain(chem.Hydrogen(1.5), pot, Options{Steps: 50, Dt: 0.25, FDStep: 1e-4})
 	var se *StepError
 	if !errors.As(err, &se) {
 		t.Fatalf("want *StepError, got %T: %v", err, err)

@@ -1,8 +1,17 @@
 // Package md implements Born–Oppenheimer molecular dynamics on the SCF
-// potential-energy surface: velocity-Verlet integration with central
-// finite-difference Hellmann–Feynman forces, a Berendsen thermostat, and
-// the constrained reaction-coordinate scans used for the Li/air
-// electrolyte-degradation study (paper experiment E8).
+// potential-energy surface: one velocity-Verlet/r-RESPA integrator with
+// central finite-difference Hellmann–Feynman forces, a Berendsen
+// thermostat, and the constrained reaction-coordinate scans used for
+// the Li/air electrolyte-degradation study (paper experiment E8).
+//
+// Run is r-RESPA (Tuckerman/Berne/Martyna splitting, applied to
+// hybrid-functional AIMD following Mandal et al., arXiv:2110.07670): a
+// cheap reference force drives the inner velocity-Verlet loop at δt,
+// and the slow correction F_slow = F_full − F_cheap — the force of the
+// full HFX-bearing SCF surface — kicks the velocities only every K-th
+// step, at Δt = K·δt. With no reference (and K=1) there are no cheap
+// kicks and F_slow = F_full: the loop is plain velocity Verlet, and
+// that is how plain BOMD runs.
 //
 // Finite-difference forces substitute for the analytic integral
 // derivatives of the production code: on the cluster models driven here
@@ -12,6 +21,7 @@
 package md
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -109,33 +119,79 @@ func ForcesN(mol *chem.Molecule, pot PotentialFunc, h float64, workers int) ([]c
 	return f, nil
 }
 
+// Evaluator returns the potential energy and forces −∂E/∂R of a
+// geometry — the full (slow) surface.
+type Evaluator func(m *chem.Molecule) (epot float64, f []chem.Vec3, err error)
+
+// ForceField returns only the forces of a geometry — the cheap (fast)
+// reference surface, evaluated every inner step, where its energy is
+// never needed.
+type ForceField func(m *chem.Molecule) ([]chem.Vec3, error)
+
+// FDEvaluator adapts a PotentialFunc into the full-surface Evaluator:
+// central finite-difference forces (ForcesN, 6N evaluations) plus one
+// central energy.
+func FDEvaluator(pot PotentialFunc, h float64, workers int) Evaluator {
+	return func(m *chem.Molecule) (float64, []chem.Vec3, error) {
+		f, err := ForcesN(m, pot, h, workers)
+		if err != nil {
+			return 0, nil, err
+		}
+		e, err := pot(m)
+		if err != nil {
+			return 0, nil, err
+		}
+		return e, f, nil
+	}
+}
+
 // Options configures a trajectory.
 type Options struct {
-	// Steps is the number of MD steps.
+	// Steps is the number of outer steps (full-surface evaluations).
 	Steps int
-	// Dt is the timestep in femtoseconds (default 0.5).
+	// K is the number of inner steps per outer step (default 1). K > 1
+	// needs a cheap reference force.
+	K int
+	// Dt is the inner timestep in femtoseconds (default 0.5); the outer
+	// timestep is K·Dt.
 	Dt float64
 	// TemperatureK seeds velocities and, with Thermostat, drives the bath.
 	TemperatureK float64
-	// Thermostat enables Berendsen velocity rescaling.
+	// Thermostat enables Berendsen rescaling, applied once per outer step.
 	Thermostat bool
 	// TauFS is the Berendsen coupling time (default 20 fs).
 	TauFS float64
-	// FDStep is the finite-difference displacement in bohr (default 5e-3).
+	// FDStep records the finite-difference displacement (bohr) of the
+	// full surface in a plain run's parameter fingerprint; the evaluator
+	// itself carries the step it uses.
 	FDStep float64
 	// Seed makes velocity initialisation reproducible.
 	Seed int64
-	// Ckpt, if non-nil, makes every completed step durable: one journal
-	// record per step plus a periodic snapshot ring (see package ckpt).
+	// RefLabel names the cheap reference force; it is folded into the
+	// fingerprint of a RESPA run so a resume with a different reference
+	// is rejected.
+	RefLabel string
+	// Ckpt, if non-nil, makes every completed inner step durable: one
+	// journal record per step plus a periodic snapshot ring (see package
+	// ckpt).
 	Ckpt *ckpt.Writer
 	// Resume, if non-nil, continues a trajectory from a restored state
 	// (ckpt.Load) instead of initialising velocities. Positions,
 	// velocities, forces, energy extrema and the RNG are restored
 	// bit-for-bit, so the resumed run is bitwise identical to the
-	// uninterrupted one from the restore point on. The remaining Options
+	// uninterrupted one from the restore point on, whether the state
+	// landed on an outer boundary or between two. The remaining Options
 	// must match the original run; a mismatch is rejected via the
 	// state's parameter fingerprint.
 	Resume *ckpt.MDState
+	// Ctx, if non-nil, is polled before every inner step; cancellation
+	// surfaces as a *StepError wrapping ctx.Err(), identifying the step
+	// the trajectory stopped at.
+	Ctx context.Context
+	// OnOuterStep, if non-nil, is called after each recorded frame with
+	// the outer index (0 for the initial state) and the frame — the
+	// streamed-progress hook hfxd trajectory jobs use.
+	OnOuterStep func(outer int, f Frame)
 }
 
 // StepError reports a failure — an SCF that stopped converging, a
@@ -152,6 +208,12 @@ func (e *StepError) Error() string { return fmt.Sprintf("md: step %d: %v", e.Ste
 // Unwrap exposes the cause to errors.Is/As.
 func (e *StepError) Unwrap() error { return e.Err }
 
+// ConfigError rejects options, or a resume state, that the run cannot
+// use. Run returns it before any force evaluation.
+type ConfigError struct{ Reason string }
+
+func (e *ConfigError) Error() string { return "md: " + e.Reason }
+
 // Frame is one trajectory snapshot.
 type Frame struct {
 	Step      int
@@ -165,11 +227,13 @@ type Frame struct {
 
 // Trajectory is the result of a run.
 type Trajectory struct {
+	// Frames are recorded at outer boundaries, where the full potential
+	// is evaluated.
 	Frames []Frame
 	Mol    *chem.Molecule // final geometry
 	// Final is the complete restartable state after the last completed
-	// step — what a checkpoint of that step would contain, and what the
-	// aimd -json summary fingerprints.
+	// (inner) step — what a checkpoint of that step would contain, and
+	// what the aimd -json summary fingerprints.
 	Final *ckpt.MDState
 	// eLo/eHi accumulate the conserved-energy extrema over every frame,
 	// including (on a resumed run) the frames recorded before the
@@ -192,8 +256,12 @@ func (t *Trajectory) EnergyDrift() float64 {
 
 // paramsHash fingerprints the run configuration and system identity:
 // everything that must match for a checkpoint to be resumable by this
-// run. Positions are deliberately excluded — they evolve.
-func paramsHash(m *chem.Molecule, opts *Options) uint64 {
+// run. Positions are deliberately excluded — they evolve, and so is
+// Steps: extending the horizon changes no per-step arithmetic. A RESPA
+// run's fingerprint is tagged with the split (K, reference label) and
+// a plain run's covers FDStep instead, so plain and RESPA checkpoints
+// can never resume each other.
+func paramsHash(m *chem.Molecule, opts *Options, split bool) uint64 {
 	h := fnv.New64a()
 	w := func(v uint64) {
 		var b [8]byte
@@ -201,6 +269,10 @@ func paramsHash(m *chem.Molecule, opts *Options) uint64 {
 			b[i] = byte(v >> (8 * i))
 		}
 		h.Write(b[:])
+	}
+	if split {
+		h.Write([]byte("respa\x00" + opts.RefLabel + "\x00"))
+		w(uint64(opts.K))
 	}
 	w(math.Float64bits(opts.Dt))
 	w(math.Float64bits(opts.TemperatureK))
@@ -210,10 +282,10 @@ func paramsHash(m *chem.Molecule, opts *Options) uint64 {
 		w(0)
 	}
 	w(math.Float64bits(opts.TauFS))
-	w(math.Float64bits(opts.FDStep))
+	if !split {
+		w(math.Float64bits(opts.FDStep))
+	}
 	w(uint64(opts.Seed))
-	// Steps is excluded: resuming with a longer horizon (trajectory
-	// extension) is legitimate and changes no per-step arithmetic.
 	w(uint64(int64(m.Charge)))
 	w(uint64(m.NAtoms()))
 	for _, a := range m.Atoms {
@@ -222,12 +294,39 @@ func paramsHash(m *chem.Molecule, opts *Options) uint64 {
 	return h.Sum64()
 }
 
-// Run integrates a BOMD trajectory with velocity Verlet, optionally
-// checkpointing every step (Options.Ckpt) and optionally continuing a
-// restored one (Options.Resume).
-func Run(mol *chem.Molecule, pot PotentialFunc, opts Options) (*Trajectory, error) {
+// checkResume rejects a restored state this run cannot continue.
+func checkResume(st *ckpt.MDState, natoms int, ph uint64, split bool, totalInner int) error {
+	switch {
+	case len(st.Pos) != natoms:
+		return &ConfigError{fmt.Sprintf("resume state holds %d atoms, molecule has %d", len(st.Pos), natoms)}
+	case split && st.Slow == nil:
+		return &ConfigError{fmt.Sprintf("resume state at step %d is a plain-MD state, not a RESPA one", st.Step)}
+	case !split && st.Slow != nil:
+		return &ConfigError{fmt.Sprintf("resume state at step %d is a RESPA state, not a plain-MD one", st.Step)}
+	case st.ParamsHash != ph:
+		return &ConfigError{fmt.Sprintf("resume state was written by a different run configuration (params fingerprint %016x, want %016x)", st.ParamsHash, ph)}
+	case int(st.Step) > totalInner:
+		return &ConfigError{fmt.Sprintf("resume state is at inner step %d, beyond Steps·K=%d", st.Step, totalInner)}
+	}
+	return nil
+}
+
+// Run integrates a trajectory on the full surface, split r-RESPA style
+// when cheap is non-nil, optionally checkpointing every inner step
+// (Options.Ckpt) and optionally continuing a restored one
+// (Options.Resume). A nil cheap means plain velocity Verlet on the full
+// surface: K must then be 1, and the restartable state holds the full
+// force in Frc with Slow nil (the version-1 checkpoint image).
+func Run(mol *chem.Molecule, full Evaluator, cheap ForceField, opts Options) (*Trajectory, error) {
 	if opts.Steps <= 0 {
-		return nil, fmt.Errorf("md: Steps must be positive")
+		return nil, &ConfigError{"Steps must be positive"}
+	}
+	if opts.K <= 0 {
+		opts.K = 1
+	}
+	split := cheap != nil
+	if !split && opts.K > 1 {
+		return nil, &ConfigError{fmt.Sprintf("K=%d needs a cheap reference force", opts.K)}
 	}
 	if opts.Dt <= 0 {
 		opts.Dt = 0.5
@@ -235,21 +334,23 @@ func Run(mol *chem.Molecule, pot PotentialFunc, opts Options) (*Trajectory, erro
 	if opts.TauFS <= 0 {
 		opts.TauFS = 20
 	}
+	k := opts.K
 	dt := opts.Dt * phys.FemtosecondToAtomicTime
+	outerDt := float64(k) * dt
+	totalInner := opts.Steps * k
 
 	m := mol.Clone()
 	n := m.NAtoms()
-	masses := make([]float64, n)
-	for i, a := range m.Atoms {
-		masses[i] = a.El.Mass() * phys.AMUToElectronMass
-	}
-	ph := paramsHash(m, &opts)
+	masses := AtomicMasses(m)
+	ph := paramsHash(m, &opts, split)
 
 	traj := &Trajectory{Mol: m, eLo: math.Inf(1), eHi: math.Inf(-1)}
 	var (
-		vel, frc []chem.Vec3
-		epot     float64
-		rng      = newRNG(opts.Seed)
+		vel      []chem.Vec3 // velocities
+		fc       []chem.Vec3 // cheap force (split runs only)
+		fs       []chem.Vec3 // slow force: F_full − F_cheap, or F_full when plain
+		epot     float64     // full potential at the last outer boundary
+		rngState [3]uint64
 	)
 	// stateAt captures the complete post-step state — the unit of both
 	// checkpointing and the Final fingerprint.
@@ -258,11 +359,14 @@ func Run(mol *chem.Molecule, pot PotentialFunc, opts Options) (*Trajectory, erro
 			Step: int64(step),
 			Pos:  make([]chem.Vec3, n),
 			Vel:  append([]chem.Vec3(nil), vel...),
-			Frc:  append([]chem.Vec3(nil), frc...),
+			Frc:  append([]chem.Vec3(nil), fs...),
 			Epot: epot,
 			ELo:  traj.eLo, EHi: traj.eHi,
-			RNG:        rng.state(),
+			RNG:        rngState,
 			ParamsHash: ph,
+		}
+		if split {
+			st.Frc, st.Slow = append([]chem.Vec3(nil), fc...), st.Frc
 		}
 		for i := range st.Pos {
 			st.Pos[i] = m.Atoms[i].Pos
@@ -275,57 +379,79 @@ func Run(mol *chem.Molecule, pot PotentialFunc, opts Options) (*Trajectory, erro
 		for i := range pos {
 			pos[i] = m.Atoms[i].Pos
 		}
-		total := epot + ekin
-		if total < traj.eLo {
-			traj.eLo = total
-		}
-		if total > traj.eHi {
-			traj.eHi = total
-		}
-		traj.seen = true
-		traj.Frames = append(traj.Frames, Frame{
+		f := Frame{
 			Step:      step,
 			TimeFS:    float64(step) * opts.Dt,
 			Potential: epot,
 			Kinetic:   ekin,
-			Total:     total,
+			Total:     epot + ekin,
 			TempK:     temperature(ekin, n),
 			Positions: pos,
-		})
+		}
+		if f.Total < traj.eLo {
+			traj.eLo = f.Total
+		}
+		if f.Total > traj.eHi {
+			traj.eHi = f.Total
+		}
+		traj.seen = true
+		traj.Frames = append(traj.Frames, f)
 		traj.Final = stateAt(step)
+		if opts.OnOuterStep != nil {
+			opts.OnOuterStep(step/k, f)
+		}
+	}
+	// evalFull evaluates the full surface at the current geometry and
+	// derives the slow force from it.
+	evalFull := func() error {
+		e, ffull, err := full(m)
+		if err != nil {
+			return err
+		}
+		epot, fs = e, ffull
+		if split {
+			fs = make([]chem.Vec3, n)
+			for i := range fs {
+				fs[i] = ffull[i].Sub(fc[i])
+			}
+		}
+		return nil
 	}
 
 	startStep := 1
 	if st := opts.Resume; st != nil {
-		if len(st.Pos) != n {
-			return nil, fmt.Errorf("md: resume state holds %d atoms, molecule has %d", len(st.Pos), n)
-		}
-		if st.ParamsHash != ph {
-			return nil, fmt.Errorf("md: resume state was written by a different run configuration (params fingerprint %016x, want %016x)", st.ParamsHash, ph)
-		}
-		if int(st.Step) > opts.Steps {
-			return nil, fmt.Errorf("md: resume state is at step %d, beyond Steps=%d", st.Step, opts.Steps)
+		if err := checkResume(st, n, ph, split, totalInner); err != nil {
+			return nil, err
 		}
 		for i := range m.Atoms {
 			m.Atoms[i].Pos = st.Pos[i]
 		}
 		vel = append([]chem.Vec3(nil), st.Vel...)
-		frc = append([]chem.Vec3(nil), st.Frc...)
+		fs = append([]chem.Vec3(nil), st.Frc...)
+		if split {
+			fc, fs = fs, append([]chem.Vec3(nil), st.Slow...)
+		}
 		epot = st.Epot
-		rng.setState(st.RNG)
+		rngState = st.RNG
 		traj.eLo, traj.eHi = st.ELo, st.EHi
 		traj.seen = true
-		record(int(st.Step)) // resume-point frame, bitwise equal to the original's
+		if st.Step%int64(k) == 0 {
+			// Outer-boundary restore point: re-emit its frame, bitwise
+			// equal to the original's.
+			record(int(st.Step))
+		} else {
+			traj.Final = stateAt(int(st.Step))
+		}
 		startStep = int(st.Step) + 1
 	} else {
-		vel = initVelocities(m, masses, opts.TemperatureK, rng)
-		var err error
-		frc, err = Forces(m, pot, opts.FDStep)
-		if err != nil {
-			return nil, &StepError{Step: 0, Err: err}
+		vel, rngState = DrawVelocities(m, masses, opts.TemperatureK, opts.Seed)
+		if split {
+			var err error
+			if fc, err = cheap(m); err != nil {
+				return nil, &StepError{Step: 0, Err: err}
+			}
 		}
-		epot, err = pot(m)
-		if err != nil {
+		if err := evalFull(); err != nil {
 			return nil, &StepError{Step: 0, Err: err}
 		}
 		record(0)
@@ -336,32 +462,47 @@ func Run(mol *chem.Molecule, pot PotentialFunc, opts Options) (*Trajectory, erro
 		}
 	}
 
-	for step := startStep; step <= opts.Steps; step++ {
-		// Velocity Verlet: half kick, drift, force, half kick.
-		for i := 0; i < n; i++ {
-			for k := 0; k < 3; k++ {
-				vel[i][k] += 0.5 * dt * frc[i][k] / masses[i]
-				m.Atoms[i].Pos[k] += dt * vel[i][k]
+	for step := startStep; step <= totalInner; step++ {
+		if opts.Ctx != nil {
+			if err := opts.Ctx.Err(); err != nil {
+				return traj, &StepError{Step: step, Err: err}
 			}
 		}
-		var err error
-		frc, err = Forces(m, pot, opts.FDStep)
-		if err != nil {
-			return traj, &StepError{Step: step, Err: err}
+		// A cycle's opening slow half-kick reuses F_slow evaluated at the
+		// previous boundary — the positions have not moved since.
+		if (step-1)%k == 0 {
+			halfKick(vel, fs, masses, outerDt)
 		}
-		epot, err = pot(m)
-		if err != nil {
-			return traj, &StepError{Step: step, Err: err}
+		// Inner velocity Verlet on the cheap surface; plain runs only drift.
+		if split {
+			halfKick(vel, fc, masses, dt)
 		}
 		for i := 0; i < n; i++ {
-			for k := 0; k < 3; k++ {
-				vel[i][k] += 0.5 * dt * frc[i][k] / masses[i]
+			for c := 0; c < 3; c++ {
+				m.Atoms[i].Pos[c] += dt * vel[i][c]
 			}
 		}
-		if opts.Thermostat && opts.TemperatureK > 0 {
-			berendsen(vel, masses, opts.TemperatureK, opts.Dt, opts.TauFS, n)
+		if split {
+			var err error
+			if fc, err = cheap(m); err != nil {
+				return traj, &StepError{Step: step, Err: err}
+			}
+			halfKick(vel, fc, masses, dt)
 		}
-		record(step)
+		if step%k == 0 {
+			// Outer boundary: full surface, closing slow half-kick,
+			// thermostat, frame.
+			if err := evalFull(); err != nil {
+				return traj, &StepError{Step: step, Err: err}
+			}
+			halfKick(vel, fs, masses, outerDt)
+			if opts.Thermostat && opts.TemperatureK > 0 {
+				berendsen(vel, masses, opts.TemperatureK, opts.Dt*float64(k), opts.TauFS)
+			}
+			record(step)
+		} else {
+			traj.Final = stateAt(step)
+		}
 		if opts.Ckpt != nil {
 			if err := opts.Ckpt.OnStep(traj.Final); err != nil {
 				return traj, &StepError{Step: step, Err: err}
@@ -369,6 +510,15 @@ func Run(mol *chem.Molecule, pot PotentialFunc, opts Options) (*Trajectory, erro
 		}
 	}
 	return traj, nil
+}
+
+// halfKick advances velocities by half a step dt (atomic time) of force f.
+func halfKick(vel, f []chem.Vec3, masses []float64, dt float64) {
+	for i := range vel {
+		for c := 0; c < 3; c++ {
+			vel[i][c] += 0.5 * dt * f[i][c] / masses[i]
+		}
+	}
 }
 
 // kinetic returns ½Σmv² in hartree.
@@ -390,9 +540,10 @@ func temperature(ekin float64, n int) float64 {
 	return 2 * ekin / (float64(dof) * phys.BoltzmannHartreePerK)
 }
 
-// berendsen rescales velocities towards the bath temperature.
-func berendsen(vel []chem.Vec3, masses []float64, t0, dtFS, tauFS float64, n int) {
-	tcur := temperature(kinetic(vel, masses), n)
+// berendsen rescales velocities towards the bath temperature t0 with
+// coupling time tauFS over an elapsed dtFS.
+func berendsen(vel []chem.Vec3, masses []float64, t0, dtFS, tauFS float64) {
+	tcur := temperature(kinetic(vel, masses), len(vel))
 	if tcur <= 0 {
 		return
 	}

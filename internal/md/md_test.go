@@ -24,6 +24,13 @@ func springPot(k, r0 float64) PotentialFunc {
 	}
 }
 
+// runPlain integrates plain BOMD (no cheap reference, K=1) with
+// finite-difference forces on pot at the options' FD step — the path
+// hfxmd.RunMD takes.
+func runPlain(mol *chem.Molecule, pot PotentialFunc, opts Options) (*Trajectory, error) {
+	return Run(mol, FDEvaluator(pot, opts.FDStep, 0), nil, opts)
+}
+
 // morsePot is an analytic Morse potential between atoms 0 and 1.
 func morsePot(de, a, r0 float64) PotentialFunc {
 	return func(m *chem.Molecule) (float64, error) {
@@ -52,7 +59,7 @@ func TestForcesMatchAnalyticSpring(t *testing.T) {
 
 func TestVerletConservesEnergyHarmonic(t *testing.T) {
 	mol := chem.Hydrogen(1.5)
-	traj, err := Run(mol, springPot(0.35, 1.4), Options{
+	traj, err := runPlain(mol, springPot(0.35, 1.4), Options{
 		Steps: 200, Dt: 0.25, TemperatureK: 0, FDStep: 1e-4,
 	})
 	if err != nil {
@@ -82,7 +89,7 @@ func TestVerletConservesEnergyHarmonic(t *testing.T) {
 
 func TestThermostatEquilibrates(t *testing.T) {
 	mol := chem.WaterCluster(2, 3)
-	traj, err := Run(mol, springPot(0.1, 2.0), Options{
+	traj, err := runPlain(mol, springPot(0.1, 2.0), Options{
 		Steps: 400, Dt: 0.5, TemperatureK: 300, Thermostat: true, TauFS: 5,
 		FDStep: 1e-4, Seed: 1,
 	})
@@ -129,7 +136,7 @@ func TestInitVelocitiesTemperatureAndCOM(t *testing.T) {
 }
 
 func TestRunValidation(t *testing.T) {
-	if _, err := Run(chem.Hydrogen(1.4), springPot(1, 1), Options{Steps: 0}); err == nil {
+	if _, err := runPlain(chem.Hydrogen(1.4), springPot(1, 1), Options{Steps: 0}); err == nil {
 		t.Fatal("expected error for zero steps")
 	}
 }
@@ -139,7 +146,7 @@ func TestSCFMDShortTrajectory(t *testing.T) {
 		t.Skip("SCF MD is slow")
 	}
 	pot := SCFPotential(scf.Config{})
-	traj, err := Run(chem.Hydrogen(1.5), pot, Options{Steps: 4, Dt: 0.4})
+	traj, err := runPlain(chem.Hydrogen(1.5), pot, Options{Steps: 4, Dt: 0.4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +237,7 @@ func TestForcesErrorPropagation(t *testing.T) {
 	if _, err := Forces(chem.Hydrogen(1.4), failing, 1e-4); err == nil {
 		t.Fatal("expected propagated error")
 	}
-	if _, err := Run(chem.Hydrogen(1.4), failing, Options{Steps: 2}); err == nil {
+	if _, err := runPlain(chem.Hydrogen(1.4), failing, Options{Steps: 2}); err == nil {
 		t.Fatal("expected run error")
 	}
 }

@@ -1,19 +1,13 @@
 package md
 
 import (
-	"math"
-
 	"hfxmd/internal/chem"
-	"hfxmd/internal/ckpt"
 	"hfxmd/internal/phys"
 )
 
-// This file exports the integrator building blocks internal/respa
-// composes into the multiple-time-step driver: mass tables, the
-// Maxwell–Boltzmann draw (with its serializable RNG state), the
-// Berendsen rescale, and trajectory accumulation. md.Run itself keeps
-// using the unexported forms, so its arithmetic — and every bitwise
-// pin on it — is untouched.
+// This file exports the integrator's initial conditions — the mass
+// table and the Maxwell–Boltzmann draw Run makes — for callers that
+// need a trajectory's starting point without integrating it.
 
 // AtomicMasses returns per-atom masses in electron-mass units, the
 // integrator's native unit.
@@ -25,58 +19,12 @@ func AtomicMasses(m *chem.Molecule) []float64 {
 	return masses
 }
 
-// Kinetic returns ½Σmv² in hartree.
-func Kinetic(vel []chem.Vec3, masses []float64) float64 { return kinetic(vel, masses) }
-
-// Temperature converts kinetic energy to an instantaneous temperature
-// via equipartition over 3N degrees of freedom.
-func Temperature(ekin float64, natoms int) float64 { return temperature(ekin, natoms) }
-
 // DrawVelocities initialises Maxwell–Boltzmann velocities from a fresh
 // RNG seeded with seed and returns them together with the post-draw RNG
-// state, so a caller that checkpoints its own integrator (respa) can
-// restore the stream bit-for-bit. The draw is identical to the one
-// md.Run performs for the same seed.
+// state, which Run carries in every checkpoint. The draw is the one Run
+// performs for the same seed.
 func DrawVelocities(m *chem.Molecule, masses []float64, tempK float64, seed int64) ([]chem.Vec3, [3]uint64) {
 	r := newRNG(seed)
 	vel := initVelocities(m, masses, tempK, r)
 	return vel, r.state()
 }
-
-// BerendsenRescale applies one Berendsen thermostat step towards t0
-// with coupling time tauFS over an elapsed dtFS.
-func BerendsenRescale(vel []chem.Vec3, masses []float64, t0, dtFS, tauFS float64) {
-	berendsen(vel, masses, t0, dtFS, tauFS, len(vel))
-}
-
-// NewTrajectory returns an empty trajectory accumulating energy extrema
-// over frames added with AddFrame. mol is aliased as the (evolving,
-// then final) geometry.
-func NewTrajectory(mol *chem.Molecule) *Trajectory {
-	return &Trajectory{Mol: mol, eLo: math.Inf(1), eHi: math.Inf(-1)}
-}
-
-// AddFrame appends a frame and folds its conserved total energy into
-// the drift extrema.
-func (t *Trajectory) AddFrame(f Frame) {
-	if f.Total < t.eLo {
-		t.eLo = f.Total
-	}
-	if f.Total > t.eHi {
-		t.eHi = f.Total
-	}
-	t.seen = true
-	t.Frames = append(t.Frames, f)
-}
-
-// RestoreExtrema seeds the drift extrema from a checkpoint, so a
-// resumed trajectory reports exactly the drift of the uninterrupted
-// one.
-func (t *Trajectory) RestoreExtrema(st *ckpt.MDState) {
-	t.eLo, t.eHi = st.ELo, st.EHi
-	t.seen = true
-}
-
-// Extrema returns the accumulated conserved-energy extrema (for
-// checkpointing by an external integrator).
-func (t *Trajectory) Extrema() (lo, hi float64) { return t.eLo, t.eHi }

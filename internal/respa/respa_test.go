@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"hfxmd/internal/chem"
@@ -15,7 +16,7 @@ import (
 // springEval is an analytic all-pairs harmonic surface with exact
 // forces — the full (slow) surface of these tests, so the integrator is
 // exercised without SCF and without finite-difference noise.
-func springEval(k, r0 float64) Evaluator {
+func springEval(k, r0 float64) md.Evaluator {
 	return func(m *chem.Molecule) (float64, []chem.Vec3, error) {
 		n := m.NAtoms()
 		f := make([]chem.Vec3, n)
@@ -41,7 +42,7 @@ func springEval(k, r0 float64) Evaluator {
 // springField is the forces-only form — the cheap reference, with a
 // deliberately different spring constant so F_slow = F_full − F_cheap
 // is non-zero and the slow kicks actually matter.
-func springField(k, r0 float64) ForceField {
+func springField(k, r0 float64) md.ForceField {
 	eval := springEval(k, r0)
 	return func(m *chem.Molecule) ([]chem.Vec3, error) {
 		_, f, err := eval(m)
@@ -53,8 +54,8 @@ func respaMol() *chem.Molecule { return chem.WaterCluster(2, 3) }
 
 // respaOpts integrates the same total simulated time at every k: the
 // inner timestep is fixed, outer steps shrink as k grows.
-func respaOpts(totalInner, k int) Options {
-	return Options{
+func respaOpts(totalInner, k int) md.Options {
+	return md.Options{
 		Steps: totalInner / k, K: k, Dt: 0.25,
 		TemperatureK: 300, Seed: 11,
 	}
@@ -66,13 +67,13 @@ const (
 	bondR0 = 2.0
 )
 
-func runRESPA(t *testing.T, totalInner, k int, mut func(*Options)) *md.Trajectory {
+func runRESPA(t *testing.T, totalInner, k int, mut func(*md.Options)) *md.Trajectory {
 	t.Helper()
 	opts := respaOpts(totalInner, k)
 	if mut != nil {
 		mut(&opts)
 	}
-	traj, err := Run(respaMol(), springEval(fullK, bondR0), springField(cheapK, bondR0), opts)
+	traj, err := md.Run(respaMol(), springEval(fullK, bondR0), springField(cheapK, bondR0), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestDriftAcrossK(t *testing.T) {
 	cheap := springField(0.30, 1.4)
 	drifts := map[int]float64{}
 	for _, k := range []int{1, 2, 4, 8} {
-		traj, err := Run(mol, full, cheap, Options{Steps: totalInner / k, K: k, Dt: 0.25})
+		traj, err := md.Run(mol, full, cheap, md.Options{Steps: totalInner / k, K: k, Dt: 0.25})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,32 +124,68 @@ func TestDriftAcrossK(t *testing.T) {
 }
 
 // TestKOneMatchesPlainVerlet: at k=1 the split degenerates to velocity
-// Verlet on the full surface (the two half-kicks are applied in two
-// additions instead of one, so agreement is to rounding, not bitwise).
+// Verlet on the full surface. With a real reference the cheap kicks
+// cancel only to rounding, so that run agrees with the plain one to
+// 1e-6 Eh; with an all-zero reference every cheap kick adds an exact
+// zero, so it reproduces the plain run bit for bit — positions,
+// velocities, energies, RNG, drift extrema and every frame — and its
+// slow force is the plain run's full force.
 func TestKOneMatchesPlainVerlet(t *testing.T) {
 	const steps = 64
 	pot := func(m *chem.Molecule) (float64, error) {
 		e, _, err := springEval(fullK, bondR0)(m)
 		return e, err
 	}
-	// FDEvaluator with the same displacement makes the per-step forces
-	// identical to md.Run's, isolating the integrator arithmetic.
-	opts := respaOpts(steps, 1)
-	traj, err := Run(respaMol(), FDEvaluator(pot, 1e-5, 1), springField(cheapK, bondR0), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := md.Run(respaMol(), pot,
-		md.Options{Steps: steps, Dt: 0.25, TemperatureK: 300, Seed: 11, FDStep: 1e-5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	last, rlast := traj.Frames[len(traj.Frames)-1], ref.Frames[len(ref.Frames)-1]
-	if last.Step != rlast.Step {
-		t.Fatalf("step mismatch: %d vs %d", last.Step, rlast.Step)
-	}
-	if d := math.Abs(last.Total - rlast.Total); d > 1e-6 {
-		t.Fatalf("k=1 total energy deviates from plain Verlet by %.3e Eh", d)
+	zero := func(m *chem.Molecule) ([]chem.Vec3, error) { return make([]chem.Vec3, m.NAtoms()), nil }
+	for _, thermostat := range []bool{false, true} {
+		// FDEvaluator with the same displacement makes the per-step
+		// forces identical in every run, isolating the integrator
+		// arithmetic.
+		full := md.FDEvaluator(pot, 1e-5, 1)
+		opts := respaOpts(steps, 1)
+		opts.Thermostat = thermostat
+		traj, err := md.Run(respaMol(), full, springField(cheapK, bondR0), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		zopts := opts
+		zopts.RefLabel = "zero"
+		ztraj, err := md.Run(respaMol(), full, zero, zopts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		popts := opts
+		popts.FDStep = 1e-5
+		ref, err := md.Run(respaMol(), full, nil, popts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last, rlast := traj.Frames[len(traj.Frames)-1], ref.Frames[len(ref.Frames)-1]
+		if last.Step != rlast.Step {
+			t.Fatalf("step mismatch: %d vs %d", last.Step, rlast.Step)
+		}
+		if d := math.Abs(last.Total - rlast.Total); d > 1e-6 {
+			t.Fatalf("k=1 total energy deviates from plain Verlet by %.3e Eh", d)
+		}
+
+		if ref.Final.Slow != nil {
+			t.Fatal("plain run must leave Slow nil (version-1 state)")
+		}
+		z, p := ztraj.Final, ref.Final
+		plainView := &ckpt.MDState{
+			Step: z.Step, Pos: z.Pos, Vel: z.Vel, Frc: z.Slow, Epot: z.Epot,
+			ELo: z.ELo, EHi: z.EHi, RNG: z.RNG, ParamsHash: p.ParamsHash,
+		}
+		assertBitwiseEqual(t, plainView, p)
+		if len(ztraj.Frames) != len(ref.Frames) {
+			t.Fatalf("%d frames vs %d", len(ztraj.Frames), len(ref.Frames))
+		}
+		for i := range ref.Frames {
+			if a, b := ztraj.Frames[i].Total, ref.Frames[i].Total; math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("thermostat=%v frame %d total %x vs plain %x", thermostat, i,
+					math.Float64bits(a), math.Float64bits(b))
+			}
+		}
 	}
 }
 
@@ -163,7 +200,7 @@ func crashAndResume(t *testing.T, totalInner, k int, plan *ckpt.FaultPlan, every
 	}
 	opts := respaOpts(totalInner, k)
 	opts.Ckpt = w
-	_, err = Run(respaMol(), springEval(fullK, bondR0), springField(cheapK, bondR0), opts)
+	_, err = md.Run(respaMol(), springEval(fullK, bondR0), springField(cheapK, bondR0), opts)
 	if !errors.Is(err, ckpt.ErrInjectedCrash) {
 		t.Fatalf("want injected crash, got %v", err)
 	}
@@ -188,7 +225,7 @@ func crashAndResume(t *testing.T, totalInner, k int, plan *ckpt.FaultPlan, every
 	opts = respaOpts(totalInner, k)
 	opts.Ckpt = w2
 	opts.Resume = res.State
-	traj, err := Run(respaMol(), springEval(fullK, bondR0), springField(cheapK, bondR0), opts)
+	traj, err := md.Run(respaMol(), springEval(fullK, bondR0), springField(cheapK, bondR0), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,15 +271,49 @@ func TestResumeBitwiseMidCycle(t *testing.T) {
 }
 
 // TestResumeRejectsPlainMDState: a version-1 checkpoint (no slow force)
-// must be refused, not silently integrated with a zero correction.
+// must be refused by a RESPA run, not silently integrated with a zero
+// correction; a RESPA checkpoint must be refused by a plain run; and a
+// run asking for K > 1 without a reference is a configuration error,
+// not a silent larger-timestep Verlet. Each is a typed *md.ConfigError
+// returned before any force evaluation.
 func TestResumeRejectsPlainMDState(t *testing.T) {
-	opts := respaOpts(8, 2)
-	ref := runRESPA(t, 8, 2, nil)
-	st := ref.Final.Clone()
-	st.Slow = nil
-	opts.Resume = st
-	if _, err := Run(respaMol(), springEval(fullK, bondR0), springField(cheapK, bondR0), opts); err == nil {
-		t.Fatal("plain-MD state must not resume a RESPA run")
+	split := runRESPA(t, 8, 2, nil).Final
+	plain := split.Clone()
+	plain.Slow = nil
+	plainOpts := respaOpts(8, 1)
+	plainOpts.FDStep = 1e-5
+	cases := []struct {
+		name   string
+		split  bool
+		opts   md.Options
+		resume *ckpt.MDState
+	}{
+		{"plain state into RESPA run", true, respaOpts(8, 2), plain},
+		{"RESPA state into plain run", false, plainOpts, split},
+		{"K>1 without reference", false, respaOpts(8, 2), nil},
+	}
+	for _, c := range cases {
+		var calls atomic.Int64
+		full := func(m *chem.Molecule) (float64, []chem.Vec3, error) {
+			calls.Add(1)
+			return springEval(fullK, bondR0)(m)
+		}
+		var cheap md.ForceField
+		if c.split {
+			cheap = func(m *chem.Molecule) ([]chem.Vec3, error) {
+				calls.Add(1)
+				return springField(cheapK, bondR0)(m)
+			}
+		}
+		c.opts.Resume = c.resume
+		traj, err := md.Run(respaMol(), full, cheap, c.opts)
+		var ce *md.ConfigError
+		if !errors.As(err, &ce) {
+			t.Fatalf("%s: want *md.ConfigError, got %T: %v", c.name, err, err)
+		}
+		if traj != nil || calls.Load() != 0 {
+			t.Fatalf("%s: rejected run did work (%d force evaluations)", c.name, calls.Load())
+		}
 	}
 }
 
@@ -253,13 +324,13 @@ func TestResumeRejectsDifferentSplit(t *testing.T) {
 	ref := runRESPA(t, 8, 2, nil)
 	opts := respaOpts(8, 4)
 	opts.Resume = ref.Final
-	if _, err := Run(respaMol(), springEval(fullK, bondR0), springField(cheapK, bondR0), opts); err == nil {
+	if _, err := md.Run(respaMol(), springEval(fullK, bondR0), springField(cheapK, bondR0), opts); err == nil {
 		t.Fatal("k=2 checkpoint must not resume a k=4 run")
 	}
 	opts = respaOpts(8, 2)
 	opts.RefLabel = "other"
 	opts.Resume = ref.Final
-	if _, err := Run(respaMol(), springEval(fullK, bondR0), springField(cheapK, bondR0), opts); err == nil {
+	if _, err := md.Run(respaMol(), springEval(fullK, bondR0), springField(cheapK, bondR0), opts); err == nil {
 		t.Fatal("checkpoint must not resume under a different reference label")
 	}
 }
@@ -275,7 +346,7 @@ func TestCancelIdentifiesStep(t *testing.T) {
 			cancel()
 		}
 	}
-	_, err := Run(respaMol(), springEval(fullK, bondR0), springField(cheapK, bondR0), opts)
+	_, err := md.Run(respaMol(), springEval(fullK, bondR0), springField(cheapK, bondR0), opts)
 	var se *md.StepError
 	if !errors.As(err, &se) {
 		t.Fatalf("want *md.StepError, got %v", err)

@@ -487,8 +487,8 @@ func TestServerLifecycle(t *testing.T) {
 	block := make(chan struct{})
 	running := make(chan string, 16)
 	s := mustNew(t, Config{
-		Workers:  1,
-		QueueCap: 1,
+		Workers:    1,
+		QueueCap:   1,
 		CacheBytes: -1,
 		BeforeRun: func(kind string) {
 			running <- kind

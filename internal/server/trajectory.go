@@ -76,7 +76,7 @@ func (s *Server) runTrajectory(j *job) *JobResult {
 	sess := md.NewSession(cfg, md.SessionOptions{Store: s.store})
 	defer sess.Close()
 
-	fullEval := respa.Evaluator(func(m *chem.Molecule) (float64, []chem.Vec3, error) {
+	fullEval := md.Evaluator(func(m *chem.Molecule) (float64, []chem.Vec3, error) {
 		f, e, err := sess.Forces(m, 0, s.cfg.BuilderThreads)
 		return e, f, err
 	})
@@ -93,7 +93,7 @@ func (s *Server) runTrajectory(j *job) *JobResult {
 		Ref:        refLabel,
 	}
 	stepStart := time.Now()
-	opts := respa.Options{
+	opts := md.Options{
 		Steps:        req.MaxSteps,
 		K:            req.RespaK,
 		Dt:           req.DtFS,
@@ -121,7 +121,7 @@ func (s *Server) runTrajectory(j *job) *JobResult {
 			s.reg.Gauge("traj.last_step").Set(int64(f.Step))
 		},
 	}
-	traj, err := respa.Run(j.prep.mol, fullEval, cheap, opts)
+	traj, err := md.Run(j.prep.mol, fullEval, cheap, opts)
 	fillTrajSummary(sum, traj, sess.Stats())
 	if err != nil {
 		state := StateFailed

@@ -61,9 +61,9 @@ type ref struct {
 // for concurrent use; a Store may be shared by every server instance
 // of an in-process fleet.
 type Store struct {
-	mu    sync.Mutex
-	dir   string
-	fsync bool
+	mu     sync.Mutex
+	dir    string
+	fsync  bool
 	segCap int64
 
 	hot   *hotLRU

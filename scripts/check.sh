@@ -29,14 +29,21 @@
 #     stay within the committed k^2 bound of the k=1 baseline, the
 #     warm/cold SCF-iteration ratio must undercut the committed reuse
 #     factor, and the in-process mid-cycle crash/resume must be bitwise
-#     identical;
+#     identical; run single-threaded, and on amd64 its uninterrupted
+#     reference final-state hash must equal the one committed to
+#     BENCH_mts.json, pinning the trajectory bits across code versions
+#     (SCF bits follow the builder's default thread count, hence
+#     GOMAXPROCS=1);
 #   - the Fock bench regression gate: a fresh scripts/bench_fock.sh run
 #     must not regress semi-direct ns/op by >20% against the committed
 #     BENCH_fock.json baseline.
+#
+# Formatting is gated too: gofmt must list no file.
 set -eux
 
 cd "$(dirname "$0")/.."
 
+test -z "$(gofmt -l .)"
 go vet ./...
 go build ./...
 go test -race -count=1 ./...
@@ -83,9 +90,15 @@ scripts/smoke_mts.sh
 # M1 gate run: aborts itself if the k=4 drift breaks the k^2 bound (or
 # the absolute ceiling), if the warm/cold SCF-iteration ratio misses
 # the committed reuse factor, or if the mid-cycle crash/resume is not
-# bitwise identical to the uninterrupted reference.
+# bitwise identical to the uninterrupted reference. On amd64 the
+# reference's final-state hash must also equal the committed one.
 m1_json="$(mktemp)"
-scripts/bench_mts.sh "$m1_json"
+GOMAXPROCS=1 scripts/bench_mts.sh "$m1_json"
+if [ "$(go env GOARCH)" = amd64 ]; then
+	m1_sha() { sed -n 's/.*"referenceFinalSha256": "\([0-9a-f]*\)".*/\1/p' "$1"; }
+	test -n "$(m1_sha BENCH_mts.json)"
+	test "$(m1_sha "$m1_json")" = "$(m1_sha BENCH_mts.json)"
+fi
 rm -f "$m1_json"
 
 # Fock bench regression gate against the committed baseline.
